@@ -5,19 +5,7 @@ model matrices, closed-form limit/fluctuation predictions, and replicated
 Monte Carlo verification.
 """
 
-from .dynamics import (
-    DerivedParams,
-    DrawOutcome,
-    ModelConfig,
-    Trajectory,
-    UrnState,
-    derive_params,
-    expected_chi,
-    reinforce,
-    run,
-    sample_step,
-    simulate_ensemble,
-)
+from .dynamics import ModelConfig, expected_chi, simulate_ensemble
 from .experiments import (
     EnsembleStats,
     VerificationReport,
@@ -36,6 +24,8 @@ from .theory import (
     DriftModel,
     FluctuationReport,
     LimitSet,
+    Params,
+    Problem,
     classify,
     decay_exponents,
     drift_model,

@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import experiments, theory
-from .dynamics import MODEL_CODES, ModelConfig, parse_schedule, simulate_ensemble
+from .dynamics import MODEL_CODES, ModelConfig, simulate_ensemble
 from .errors import UrnnetError
-from .graphs import analyze_graph, load_edge_file, matrices
-from .spectral import eigendecompose
+from .graphs import load_edge_file
 
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
 
@@ -38,7 +37,10 @@ def _fmt_matrix(M) -> list:
 
 def _parse_int_list(text: str, n: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
-    vals = [int(p) for p in parts]
+    try:
+        vals = [int(p) for p in parts]
+    except ValueError:
+        raise UrnnetError(f"expected integers, got {text!r}") from None
     if len(vals) == 1:
         return np.full(n, vals[0], dtype=np.int64)
     if len(vals) != n:
@@ -115,7 +117,8 @@ def _resolve(args, key, file_cfg, default=None):
     return val
 
 
-def _load_problem(args):
+def _load_problem(args) -> tuple:
+    """(Problem, config-file dict) from the flags and the optional config file."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     graph_path = _resolve(args, "graph", file_cfg)
     if not graph_path:
@@ -139,9 +142,9 @@ def _load_problem(args):
     T0 = _parse_int_list(str(_resolve(args, "t0", file_cfg, default="4")), g.n)
     w0_raw = _resolve(args, "w0", file_cfg)
     W0 = _parse_int_list(str(w0_raw), g.n) if w0_raw is not None else T0 // 2
-    scheme, neigh = MODEL_CODES[model.lower()]
-    cfg = ModelConfig(scheme, neigh, p, s, C, sampling, T0, W0, seed)
-    return cfg, g, file_cfg
+    cfg = ModelConfig.from_code(model, p=p, s=s, C=C, t0=T0, w0=W0, n=g.n,
+                                sampling=sampling, seed=seed)
+    return theory.Problem(g, cfg), file_cfg
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -164,20 +167,18 @@ def _limit_set_json(ls: Optional[theory.LimitSet]):
 
 
 def cmd_analyze(args) -> int:
-    cfg, g, _ = _load_problem(args)
-    ga = analyze_graph(g)
-    A, deg = matrices(g)
-    sd = eigendecompose(A, deg, g.directed)
-    dm = theory.drift_model(cfg, g)
+    problem, _ = _load_problem(args)
+    cfg, g, ga, sd, dm = (problem.cfg, problem.g, problem.analysis, problem.spectral,
+                          problem.drift)
     jac_eigs, stable = theory.stability(dm)
-    cls = theory.classify(cfg, g, ga, sd)
+    cls = problem.classification
 
     report = {
         "graph": {
             "n": g.n,
             "directed": g.directed,
             "edges": [list(e) for e in g.edges],
-            "degrees": _fmt_vector(deg),
+            "degrees": _fmt_vector(problem.deg),
             "bipartition": [sorted(part) for part in ga.bipartition] if ga.bipartition else None,
             "regular_degree": ga.regular_degree,
             "scc_order": [sorted(c) for c in ga.scc_order] if ga.scc_order else None,
@@ -208,7 +209,7 @@ def cmd_analyze(args) -> int:
     }
     if cfg.is_friedman:
         try:
-            rep = theory.fluctuation(cfg, g, sd)
+            rep = problem.fluctuation
             report["fluctuation"] = {
                 "rho": sig12(rep.rho),
                 "regime": rep.regime,
@@ -234,16 +235,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg, g, file_cfg = _load_problem(args)
+    problem, file_cfg = _load_problem(args)
+    cfg, g = problem.cfg, problem.g
     try:
         steps = int(_resolve(args, "steps", file_cfg, default=1000))
         replicas = int(_resolve(args, "replicas", file_cfg, default=1))
     except (TypeError, ValueError) as exc:
         raise UrnnetError(f"bad numeric option: {exc}")
     schedule = _resolve(args, "schedule", file_cfg, default="geometric(1.2)")
-    parse_schedule(schedule, steps)  # validate before the long run
     start = time.perf_counter()
-    raw = simulate_ensemble(cfg, g, steps, schedule=schedule, replicas=replicas,
+    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas,
                             rng=cfg.seed)
     lines = ["replica,t,urn,W,T,Z"]
     for k, t in enumerate(raw.times):
@@ -278,7 +279,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, g, file_cfg = _load_problem(args)
+    problem, file_cfg = _load_problem(args)
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = json.load(fh)
@@ -288,7 +289,7 @@ def cmd_verify(args) -> int:
         val = _resolve(args, key, file_cfg)
         if val is not None:
             plan[key] = val
-    report = experiments.verify(cfg, g, plan)
+    report = experiments.verify(problem, plan)
     payload = {
         "overall_pass": report.overall_pass,
         "criteria": [
@@ -308,14 +309,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_limit(args) -> int:
-    cfg, g, _ = _load_problem(args)
-    ga = analyze_graph(g)
-    A, deg = matrices(g)
-    sd = eigendecompose(A, deg, g.directed)
-    cls = theory.classify(cfg, g, ga, sd)
-    ls = cls.predicted_limit
+    problem, _ = _load_problem(args)
+    ls = problem.classification.predicted_limit
     if ls is None:
-        ls = theory.limit_set(theory.drift_model(cfg, g))
+        ls = theory.limit_set(problem.drift)
     rows = ["vector,component,value"]
     for i, x in enumerate(ls.particular):
         rows.append("particular,%d,%.12g" % (i, x))

@@ -15,28 +15,23 @@ randomness is consumed from a single numpy Generator in a fixed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import GraphSpec, matrices
+
+if TYPE_CHECKING:
+    from .theory import Problem
 
 __all__ = [
     "ModelConfig",
-    "DerivedParams",
-    "UrnState",
-    "DrawOutcome",
-    "Trajectory",
     "EnsembleTrajectories",
+    "StepKernel",
     "MODEL_CODES",
-    "derive_params",
-    "initial_state",
-    "sample_step",
     "draw_batch",
     "expected_chi",
-    "reinforce",
-    "run",
     "simulate_ensemble",
     "parse_schedule",
 ]
@@ -128,156 +123,101 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class DerivedParams:
-    """Reinforcement switches eta/kappa and per-urn total growth omega."""
-
-    eta: int
-    kappa: int
-    omega: np.ndarray
-
-
-def derive_params(cfg: ModelConfig, g: GraphSpec) -> DerivedParams:
-    """eta/kappa per neighbourhood mode; omega_i in {1, d_i, d_i + 1}.
-
-    Degrees are in-degrees on directed graphs (reinforcement arrives from
-    in-neighbours, one packet per incoming edge).
-    """
-    _, deg = matrices(g)
-    deg = deg.astype(np.int64)
-    if cfg.neighbourhood == "self":
-        return DerivedParams(1, 0, np.ones(g.n, np.int64))
-    if cfg.neighbourhood == "neighbour":
-        return DerivedParams(0, 1, deg)
-    return DerivedParams(1, 1, deg + 1)
-
-
-@dataclass(frozen=True)
-class UrnState:
-    """Integer ball counts at one time step; Z is derived, never stored."""
-
-    t: int
-    W: np.ndarray
-    T: np.ndarray
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.W / self.T
-
-
-@dataclass(frozen=True)
-class DrawOutcome:
-    source: np.ndarray  # urn each sample was drawn from
-    Y: np.ndarray       # white balls in each sample
-    chi: np.ndarray     # Y for Polya, s - Y for Friedman
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray   # (K,)
-    Z: np.ndarray       # (K, n)
-    W: np.ndarray       # (K, n) int64
-    T: np.ndarray       # (K, n) int64
-
-
-@dataclass(frozen=True)
 class EnsembleTrajectories:
+    """Integer snapshots of a lock-step ensemble; Z is derived, never stored."""
+
     times: np.ndarray   # (K,)
-    Z: np.ndarray       # (K, R, n)
     W: np.ndarray       # (K, R, n) int64
     T: np.ndarray       # (K, n) int64, identical across replicas
 
-
-def initial_state(cfg: ModelConfig, g: GraphSpec) -> UrnState:
-    if len(cfg.T0) != g.n:
-        raise ConfigError(f"config is for {len(cfg.T0)} urns, graph has {g.n}")
-    return UrnState(t=0, W=cfg.W0.copy(), T=cfg.T0.copy())
-
-
-class _SimTables:
-    """Per-graph lookup tables shared by every step of a run."""
-
-    def __init__(self, cfg: ModelConfig, g: GraphSpec):
-        A, deg = matrices(g)
-        self.A_int = A.astype(np.int64)
-        self.deg = deg.astype(np.int64)
-        lists = [np.flatnonzero(A[:, j]) for j in range(g.n)]
-        self.nbr_flat = np.concatenate(lists)
-        self.nbr_off = np.concatenate([[0], np.cumsum([len(l) for l in lists])])[:-1]
-        dp = derive_params(cfg, g)
-        self.eta, self.kappa, self.omega = dp.eta, dp.kappa, dp.omega
-        self.idx = np.arange(g.n)
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """Colour fractions W / T as one (K, R, n) array."""
+        return self.W / self.T[:, None, :]
 
 
-def _draw_sources_Y(W2, T1, cfg, tab, coin, pick, draws):
-    """Vectorised sampling phase on a (R, n) state block.
+class StepKernel:
+    """One problem's tables for the two phases of a step.
 
-    coin decides self vs neighbour, pick selects the in-neighbour, and the s
-    uniforms in draws realise the sample as sequential Bernoulli comparisons:
-    with replacement the urn composition is held fixed, without replacement
-    drawn balls are removed between comparisons (exact hypergeometric).
+    The sampling phase reads the in-neighbour lists; the reinforcement phase
+    adds eta*chi to the urn itself and kappa*chi to each out-neighbour.
     """
-    src = np.where(coin < cfg.p, tab.idx[None, :],
-                   tab.nbr_flat[tab.nbr_off[None, :] + (pick * tab.deg[None, :]).astype(np.int64)])
-    Wsrc = np.take_along_axis(W2, src, axis=1)
-    Tsrc = T1[src]
-    if cfg.sampling == "with":
-        Y = (draws < (Wsrc / Tsrc)[..., None]).sum(axis=-1, dtype=np.int64)
-    else:
-        w_rem = Wsrc.astype(np.float64)
-        t_rem = Tsrc.astype(np.float64)
-        Y = np.zeros(W2.shape, np.int64)
-        for k in range(cfg.s):
-            take = draws[..., k] < (w_rem / t_rem)
-            Y += take
-            w_rem -= take
-            t_rem -= 1.0
-    return src, Y
+
+    def __init__(self, problem: Problem):
+        self.cfg = problem.cfg
+        self.nbr_flat, self.deg = problem.in_neighbours
+        self.nbr_off = np.cumsum(self.deg) - self.deg
+        self.idx = np.arange(len(self.deg))
+        params = problem.params
+        self.eta, self.kappa = params.eta, params.kappa
+        self.dT = self.cfg.C * self.cfg.s * params.omega
+
+    @cached_property
+    def A_int(self) -> np.ndarray:
+        """A_int[u, v] = 1 iff urn u reinforces urn v, i.e. u -> v is an edge."""
+        n = len(self.deg)
+        A = np.zeros((n, n), np.int64)
+        A[self.nbr_flat, np.repeat(self.idx, self.deg)] = 1
+        return A
+
+    def draw(self, W2, T1, coin, pick, draws):
+        """Vectorised sampling phase on a (R, n) state block.
+
+        Returns (src, Y, chi): the urn each sample came from, its white balls,
+        and the reinforcing count (Y for Polya, s - Y for Friedman).
+
+        coin decides self vs neighbour, pick selects the in-neighbour, and the
+        s uniforms in draws realise the sample as sequential Bernoulli
+        comparisons: with replacement the urn composition is held fixed,
+        without replacement drawn balls are removed between comparisons
+        (exact hypergeometric).
+        """
+        cfg = self.cfg
+        src = np.where(coin < cfg.p, self.idx[None, :],
+                       self.nbr_flat[self.nbr_off[None, :]
+                                     + (pick * self.deg[None, :]).astype(np.int64)])
+        Wsrc = np.take_along_axis(W2, src, axis=1)
+        Tsrc = T1[src]
+        if cfg.sampling == "with":
+            Y = (draws < (Wsrc / Tsrc)[..., None]).sum(axis=-1, dtype=np.int64)
+        else:
+            w_rem = Wsrc.astype(np.float64)
+            t_rem = Tsrc.astype(np.float64)
+            Y = np.zeros(W2.shape, np.int64)
+            for k in range(cfg.s):
+                take = draws[..., k] < (w_rem / t_rem)
+                Y += take
+                w_rem -= take
+                t_rem -= 1.0
+        return src, Y, (Y if cfg.scheme == "polya" else cfg.s - Y)
+
+    def reinforce(self, W, chi) -> None:
+        """Add one step's white balls to W in place (integer-exact)."""
+        W += self.cfg.C * (self.eta * chi + self.kappa * (chi @ self.A_int))
 
 
-def _chi(Y, cfg):
-    return Y if cfg.scheme == "polya" else cfg.s - Y
-
-
-def sample_step(state: UrnState, cfg: ModelConfig, g: GraphSpec, rng) -> DrawOutcome:
-    """One sampling phase from a fixed state (no reinforcement applied)."""
-    src, Y, chi = draw_batch(state, cfg, g, rng, 1)
-    return DrawOutcome(source=src[0], Y=Y[0], chi=chi[0])
-
-
-def draw_batch(state: UrnState, cfg: ModelConfig, g: GraphSpec, rng, ndraws: int):
-    """ndraws independent sampling phases from one fixed state.
+def draw_batch(problem: Problem, W, T, rng, ndraws: int):
+    """ndraws independent sampling phases from one fixed state (W, T).
 
     Returns (source, Y, chi), each of shape (ndraws, n). Used for Monte
     Carlo checks of the conditional reinforcement mean.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    tab = _SimTables(cfg, g)
-    n = g.n
-    W2 = np.broadcast_to(state.W, (ndraws, n))
+    n = problem.g.n
     coin = rng.random((ndraws, n))
     pick = rng.random((ndraws, n))
-    draws = rng.random((ndraws, n, cfg.s))
-    src, Y = _draw_sources_Y(W2, state.T, cfg, tab, coin, pick, draws)
-    return src, Y, _chi(Y, cfg)
+    draws = rng.random((ndraws, n, problem.cfg.s))
+    return StepKernel(problem).draw(np.broadcast_to(W, (ndraws, n)), T, coin, pick, draws)
 
 
-def expected_chi(state: UrnState, cfg: ModelConfig, g: GraphSpec) -> np.ndarray:
+def expected_chi(problem: Problem, W, T) -> np.ndarray:
     """Conditional mean of chi given the state; same for both sampling modes."""
-    A, deg = matrices(g)
-    Z = state.Z
-    mix = cfg.p * Z + (1.0 - cfg.p) * (Z @ (A / deg[None, :]))
+    cfg = problem.cfg
+    Z = W / T
+    mix = cfg.p * Z + (1.0 - cfg.p) * (Z @ (problem.A / problem.deg[None, :]))
     if cfg.scheme == "polya":
         return cfg.s * mix
     return cfg.s * (1.0 - mix)
-
-
-def reinforce(state: UrnState, out: DrawOutcome, cfg: ModelConfig, g: GraphSpec) -> UrnState:
-    """Apply one balanced reinforcement: integer-exact ball accounting."""
-    tab = _SimTables(cfg, g)
-    add = tab.eta * out.chi + tab.kappa * (out.chi @ tab.A_int)
-    W = state.W + cfg.C * add
-    T = state.T + cfg.C * cfg.s * tab.omega
-    return UrnState(t=state.t + 1, W=W, T=T)
 
 
 def parse_schedule(schedule, steps: int) -> np.ndarray:
@@ -291,11 +231,15 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
         txt = schedule.strip().lower()
         if txt == "all":
             return np.arange(steps + 1)
-        if txt.startswith("geometric"):
-            inner = txt[len("geometric"):].strip("():")
-            schedule = ("geometric", float(inner) if inner else 1.2)
-        else:
-            schedule = [int(x) for x in txt.replace(",", " ").split()]
+        try:
+            if txt.startswith("geometric"):
+                inner = txt[len("geometric"):].strip("():")
+                schedule = ("geometric", float(inner) if inner else 1.2)
+            else:
+                schedule = [int(x) for x in txt.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(
+                f"bad schedule {schedule!r}: expected all, geometric(r) or t1,t2,...") from None
     if isinstance(schedule, tuple) and schedule and schedule[0] == "geometric":
         r = float(schedule[1])
         if r <= 1.0:
@@ -312,41 +256,39 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
     return np.array(ts)
 
 
-def simulate_ensemble(cfg: ModelConfig, g: GraphSpec, steps: int,
+def simulate_ensemble(problem: Problem, steps: int,
                       schedule=None, replicas: int = 1,
                       rng: Union[None, int, np.random.Generator] = None,
                       ) -> EnsembleTrajectories:
     """Run `replicas` independent copies of the process in lock-step.
 
     Every replica starts from (W0, T0) and owns an independent slice of the
-    random stream at each step. Snapshots of (W, T, Z) are taken at the
+    random stream at each step. Snapshots of (W, T) are taken at the
     scheduled times.
     """
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
     if replicas < 1:
         raise ConfigError("need at least one replica")
+    cfg = problem.cfg
     if rng is None:
         rng = cfg.seed
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
 
-    n = g.n
-    if len(cfg.T0) != n:
-        raise ConfigError(f"config is for {len(cfg.T0)} urns, graph has {g.n}")
-    tab = _SimTables(cfg, g)
+    n = problem.g.n
+    kern = StepKernel(problem)
     times = parse_schedule(schedule, steps)
     snap_at = {int(t): i for i, t in enumerate(times)}
 
     W = np.tile(cfg.W0, (replicas, 1))
     T = cfg.T0.copy()
-    dT = cfg.C * cfg.s * tab.omega
 
     K = len(times)
-    Zs = np.empty((K, replicas, n))
     Ws = np.empty((K, replicas, n), np.int64)
     Ts = np.empty((K, n), np.int64)
 
     def snapshot(t):
         i = snap_at[t]
-        Zs[i] = W / T
         Ws[i] = W
         Ts[i] = T
 
@@ -361,26 +303,10 @@ def simulate_ensemble(cfg: ModelConfig, g: GraphSpec, steps: int,
         pick = rng.random((b, replicas, n))
         draws = rng.random((b, replicas, n, cfg.s))
         for j in range(b):
-            src, Y = _draw_sources_Y(W, T, cfg, tab, coin[j], pick[j], draws[j])
-            chi = _chi(Y, cfg)
-            add = tab.eta * chi + tab.kappa * (chi @ tab.A_int)
-            W += cfg.C * add
-            T = T + dT
+            _, _, chi = kern.draw(W, T, coin[j], pick[j], draws[j])
+            kern.reinforce(W, chi)
+            T = T + kern.dT
             t += 1
             if t in snap_at:
                 snapshot(t)
-    return EnsembleTrajectories(times=times, Z=Zs, W=Ws, T=Ts)
-
-
-def run(cfg: ModelConfig, g: GraphSpec, steps: int, schedule=None, rng=None) -> Trajectory:
-    """Single-replica trajectory with scheduled snapshots."""
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
-    if steps == 0:
-        st = initial_state(cfg, g)
-        return Trajectory(times=np.array([0]), Z=st.Z[None, :],
-                          W=st.W[None, :], T=st.T[None, :])
-    ens = simulate_ensemble(cfg, g, steps, schedule=schedule, replicas=1, rng=rng)
-    K = len(ens.times)
-    Tfull = ens.T
-    return Trajectory(times=ens.times, Z=ens.Z[:, 0, :], W=ens.W[:, 0, :], T=Tfull)
+    return EnsembleTrajectories(times=times, W=Ws, T=Ts)

@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import theory
-from .dynamics import EnsembleTrajectories, ModelConfig, simulate_ensemble
+from .dynamics import simulate_ensemble
 from .errors import (
     ConfigError,
     NoBipartitionError,
@@ -23,8 +22,7 @@ from .errors import (
     NotApplicableError,
     TooFewReplicasError,
 )
-from .graphs import GraphAnalysis, GraphSpec, analyze_graph, matrices
-from .spectral import eigendecompose
+from .theory import LimitSet, Problem
 
 __all__ = [
     "EnsembleStats",
@@ -37,7 +35,6 @@ __all__ = [
     "manifold_distance",
     "rate_fit",
     "fluctuation_estimate",
-    "limit_histogram",
     "verify",
     "default_plan",
 ]
@@ -45,11 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Checkpointed cross-replica statistics (plus raw snapshots)."""
+    """Checkpointed cross-replica means (plus raw snapshots)."""
 
     times: np.ndarray          # (K,)
     mean: np.ndarray           # (K, n)
-    cov: Optional[np.ndarray]  # (K, n, n), None when replicas == 1
     Z: np.ndarray              # (K, R, n) per-replica snapshots
     replicas: int
     seed: int
@@ -61,19 +57,13 @@ class EnsembleStats:
         return int(hits[0])
 
 
-def ensemble(cfg: ModelConfig, g: GraphSpec, replicas: int, steps: int,
+def ensemble(problem: Problem, replicas: int, steps: int,
              schedule=None, seed: Optional[int] = None) -> EnsembleStats:
     """Run replicas and aggregate; deterministic in (seed, replicas, schedule)."""
     if seed is None:
-        seed = cfg.seed
-    raw: EnsembleTrajectories = simulate_ensemble(
-        cfg, g, steps, schedule=schedule, replicas=replicas, rng=seed)
-    mean = raw.Z.mean(axis=1)
-    cov = None
-    if replicas >= 2:
-        centred = raw.Z - mean[:, None, :]
-        cov = np.einsum("kri,krj->kij", centred, centred) / (replicas - 1)
-    return EnsembleStats(times=raw.times, mean=mean, cov=cov, Z=raw.Z,
+        seed = problem.cfg.seed
+    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas, rng=seed)
+    return EnsembleStats(times=raw.times, mean=raw.Z.mean(axis=1), Z=raw.Z,
                          replicas=replicas, seed=int(seed))
 
 
@@ -95,12 +85,12 @@ class SyncMetrics:
     cross_sum: Optional[np.ndarray] = None  # (R,) zbar_v + zbar_w
 
 
-def sync_metrics(es: EnsembleStats, g: GraphSpec, ga: GraphAnalysis, t: int,
+def sync_metrics(problem: Problem, es: EnsembleStats, t: int,
                  require_partition: bool = False) -> SyncMetrics:
     """Per-replica synchronization metrics at checkpoint t."""
     k = es.index_of(t)
     Z = es.Z[k]
-    _, deg = matrices(g)
+    deg, ga = problem.deg, problem.analysis
     dbar = deg.sum()
     zbar = Z @ deg / dbar
     global_spread = np.abs(Z - zbar[:, None]).max(axis=1)
@@ -124,7 +114,7 @@ def sync_metrics(es: EnsembleStats, g: GraphSpec, ga: GraphAnalysis, t: int,
     )
 
 
-def manifold_distance(es: EnsembleStats, ls: theory.LimitSet, t: int) -> np.ndarray:
+def manifold_distance(es: EnsembleStats, ls: LimitSet, t: int) -> np.ndarray:
     """Per-replica Euclidean distance to the limit set (box-clipped projection)."""
     k = es.index_of(t)
     Z = es.Z[k]
@@ -193,20 +183,6 @@ def rate_fit(es: EnsembleStats, statistic: str, window, Q) -> RateFit:
                    dropped=dropped)
 
 
-def limit_histogram(es: EnsembleStats, g: GraphSpec, ga: GraphAnalysis, t: int,
-                    bins: int = 20):
-    """Histogram of the per-replica limit coordinate, for exploration.
-
-    Uses the degree-weighted first-partition mean when the graph is
-    bipartite, the global degree-weighted mean otherwise. The law of the
-    random limit carries no acceptance criterion; this is diagnostic output.
-    """
-    sm = sync_metrics(es, g, ga, t)
-    values = sm.zbar_v if sm.zbar_v is not None else sm.zbar
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
-    return edges, counts
-
-
 def fluctuation_estimate(es: EnsembleStats, t: int, center=0.5) -> np.ndarray:
     """Sample covariance across replicas of sqrt(t) (Z_t - center)."""
     if es.replicas < 2:
@@ -256,7 +232,7 @@ def _relative_frobenius(emp, ref):
     return float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
 
 
-def verify(cfg: ModelConfig, g: GraphSpec, plan: dict) -> VerificationReport:
+def verify(problem: Problem, plan: dict) -> VerificationReport:
     """Run the plan's ensembles and evaluate every criterion.
 
     Criteria share the plan-level (steps, replicas, schedule, seed) budget
@@ -266,11 +242,6 @@ def verify(cfg: ModelConfig, g: GraphSpec, plan: dict) -> VerificationReport:
     """
     if not plan.get("criteria"):
         raise ConfigError("plan has no criteria")
-    ga = analyze_graph(g)
-    A, deg = matrices(g)
-    sd = eigendecompose(A, deg, g.directed)
-    cls = theory.classify(cfg, g, ga, sd)
-
     cache = {}
 
     def get_stats(crit):
@@ -279,10 +250,10 @@ def verify(cfg: ModelConfig, g: GraphSpec, plan: dict) -> VerificationReport:
         schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
         if isinstance(schedule, list):
             schedule = tuple(schedule)
-        seed = int(crit.get("seed", plan.get("seed", cfg.seed)))
+        seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
         key = (steps, replicas, repr(schedule), seed)
         if key not in cache:
-            cache[key] = ensemble(cfg, g, replicas, steps, schedule=schedule, seed=seed)
+            cache[key] = ensemble(problem, replicas, steps, schedule=schedule, seed=seed)
         return cache[key]
 
     entries = []
@@ -290,8 +261,7 @@ def verify(cfg: ModelConfig, g: GraphSpec, plan: dict) -> VerificationReport:
         kind = crit["kind"]
         tol = float(crit.get("tolerance", 0.05))
         try:
-            entries.append(_evaluate_criterion(kind, crit, tol, cfg, g, ga, sd,
-                                               cls, get_stats))
+            entries.append(_evaluate_criterion(kind, crit, tol, problem, get_stats))
         except Exception as exc:  # noqa: BLE001 - surfaced as a failed entry
             entries.append(VerificationEntry(
                 criterion=kind, theoretical=None, empirical=None,
@@ -299,7 +269,7 @@ def verify(cfg: ModelConfig, g: GraphSpec, plan: dict) -> VerificationReport:
     return VerificationReport(entries=tuple(entries))
 
 
-def _evaluate_criterion(kind, crit, tol, cfg, g, ga, sd, cls, get_stats):
+def _evaluate_criterion(kind, crit, tol, problem, get_stats):
     if kind == "convergence":
         es = get_stats(crit)
         t = int(crit.get("at", es.times[-1]))
@@ -314,8 +284,8 @@ def _evaluate_criterion(kind, crit, tol, cfg, g, ga, sd, cls, get_stats):
     if kind == "sync":
         es = get_stats(crit)
         t = int(crit.get("at", es.times[-1]))
-        scope = crit.get("scope", "partition" if ga.bipartition else "global")
-        sm = sync_metrics(es, g, ga, t, require_partition=(scope == "partition"))
+        scope = crit.get("scope", "partition" if problem.analysis.bipartition else "global")
+        sm = sync_metrics(problem, es, t, require_partition=(scope == "partition"))
         if scope == "global":
             emp = float(sm.global_spread.mean())
             return VerificationEntry(
@@ -335,6 +305,7 @@ def _evaluate_criterion(kind, crit, tol, cfg, g, ga, sd, cls, get_stats):
             tolerance=tol, passed=bool(ok), note=note)
 
     if kind == "manifold":
+        cls = problem.classification
         if cls.predicted_limit is None:
             raise NotApplicableError(f"no predicted limit ({cls.applicable_theorem})")
         es = get_stats(crit)
@@ -353,9 +324,10 @@ def _evaluate_criterion(kind, crit, tol, cfg, g, ga, sd, cls, get_stats):
         fit = rate_fit(es, crit.get("statistic", "mean-gap"), window, Q)
         target = crit.get("target")
         if target is None:
-            if sd.theta is None:
+            theta = problem.spectral.theta
+            if theta is None:
                 raise NotApplicableError("theta undefined; give the criterion a 'target'")
-            target = -sd.theta
+            target = -theta
         target = float(target)
         err = abs(fit.slope - target)
         return VerificationEntry(
@@ -365,7 +337,7 @@ def _evaluate_criterion(kind, crit, tol, cfg, g, ga, sd, cls, get_stats):
             note=f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
 
     if kind == "fluctuation":
-        rep = theory.fluctuation(cfg, g, sd)
+        rep = problem.fluctuation
         if rep.regime != "sqrt_t" or rep.Sigma is None:
             raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
         es = get_stats(crit)

@@ -28,6 +28,7 @@ __all__ = [
     "parse_edge_list",
     "load_edge_file",
     "matrices",
+    "in_neighbours",
     "analyze_graph",
 ]
 
@@ -39,18 +40,6 @@ class GraphSpec:
     n: int
     edges: tuple
     directed: bool
-
-    def in_neighbours(self, v: int) -> list:
-        """Vertices an urn at v may sample from (neighbours if undirected)."""
-        if self.directed:
-            return sorted(u for (u, w) in self.edges if w == v)
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -160,21 +149,34 @@ def _bfs_component(adj, root) -> set:
     return seen
 
 
-def matrices(g: GraphSpec):
-    """Adjacency matrix A and degree vector for a validated graph.
+def matrices(g: GraphSpec) -> np.ndarray:
+    """Dense adjacency matrix: A[u, v] = 1 iff there is an edge u->v.
 
-    Returns (A, Ddiag) where A[u, v] = 1 iff there is an edge u->v (both
-    orientations for undirected graphs) and Ddiag[v] is the degree of v for
-    undirected graphs or the in-degree for directed ones. All entries of
-    Ddiag are positive, so A @ diag(1/Ddiag) is column stochastic.
+    Undirected edges fill both orientations. Column sums are the degrees
+    (in-degrees on directed graphs), which in_neighbours() counts without
+    building the n x n matrix.
     """
     A = np.zeros((g.n, g.n))
     for u, v in g.edges:
         A[u, v] = 1.0
         if not g.directed:
             A[v, u] = 1.0
-    Ddiag = A.sum(axis=0)
-    return A, Ddiag
+    return A
+
+
+def in_neighbours(g: GraphSpec):
+    """The urns each urn samples from, as flat arrays (flat, deg).
+
+    deg[v] is the in-degree of v (the degree when undirected), positive on a
+    validated graph. The in-neighbours of v are flat[o:o + deg[v]] in
+    ascending order, with o = deg[:v].sum().
+    """
+    e = np.asarray(g.edges, dtype=np.int64)
+    src, dst = e[:, 0], e[:, 1]
+    if not g.directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    order = np.lexsort((src, dst))
+    return src[order], np.bincount(dst, minlength=g.n)
 
 
 def analyze_graph(g: GraphSpec) -> GraphAnalysis:

@@ -1,5 +1,7 @@
 """Closed-form predictions: drift fields, limit sets, regimes, covariances.
 
+Every prediction is derived from one Problem(graph, config), which caches
+the adjacency, spectrum, drift and classification so each is computed once.
 Everything uses the row-vector convention: the mean field is
 h(z) = b + z K, states are rows, and K is the Jacobian. Zeros of h are the
 candidate limits; the affine solution set intersected with [0,1]^N is the
@@ -21,22 +23,26 @@ critical regime (rho = 1/2) the sqrt(t/log t)-scaled covariance is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModelConfig, derive_params
+from .dynamics import ModelConfig
 from .errors import (
     AssumptionViolatedError,
+    ConfigError,
     EigenFailure,
     InconsistentDriftError,
     NotApplicableError,
 )
-from .graphs import GraphAnalysis, GraphSpec, analyze_graph, matrices
-from .spectral import SpectralData, ZERO_EIG_TOL, nullspace
+from .graphs import GraphAnalysis, GraphSpec, analyze_graph, in_neighbours, matrices
+from .spectral import SpectralData, ZERO_EIG_TOL, eigendecompose, nullspace
 
 __all__ = [
+    "Problem",
+    "Params",
     "DriftModel",
     "LimitSet",
     "ClassificationReport",
@@ -129,30 +135,98 @@ class DecayPrediction:
     log_correction: bool
 
 
-def _model_operators(cfg: ModelConfig, g: GraphSpec):
-    A, deg = matrices(g)
-    n = g.n
+class Params(NamedTuple):
+    """Reinforcement switches eta/kappa and per-urn total growth omega."""
+
+    eta: int
+    kappa: int
+    omega: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One model on one graph, and everything derived from the pair.
+
+    Each derived object is computed on first use and cached, so every entry
+    point reads the same adjacency, spectrum, drift and classification. The
+    simulator reads only the O(n + edges) members (in_neighbours, params);
+    the dense A is built for theory and spectral work alone.
+    """
+
+    g: GraphSpec
+    cfg: ModelConfig
+
+    def __post_init__(self):
+        if len(self.cfg.T0) != self.g.n:
+            raise ConfigError(f"config is for {len(self.cfg.T0)} urns, graph has {self.g.n}")
+
+    @cached_property
+    def in_neighbours(self):
+        """(flat, deg) in-neighbour lists; see graphs.in_neighbours."""
+        return in_neighbours(self.g)
+
+    @cached_property
+    def deg(self) -> np.ndarray:
+        """Degrees (in-degrees when directed) as floats; A / deg is column stochastic."""
+        return self.in_neighbours[1].astype(float)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Dense adjacency matrix (graphs.matrices); n x n, so never read by the simulator."""
+        return matrices(self.g)
+
+    @cached_property
+    def params(self) -> Params:
+        """eta/kappa per neighbourhood mode; omega_i in {1, d_i, d_i + 1}.
+
+        Degrees are in-degrees on directed graphs (reinforcement arrives from
+        in-neighbours, one packet per incoming edge).
+        """
+        deg = self.in_neighbours[1]
+        if self.cfg.neighbourhood == "self":
+            return Params(1, 0, np.ones(self.g.n, np.int64))
+        if self.cfg.neighbourhood == "neighbour":
+            return Params(0, 1, deg)
+        return Params(1, 1, deg + 1)
+
+    @cached_property
+    def analysis(self) -> GraphAnalysis:
+        return analyze_graph(self.g)
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        return eigendecompose(self.A, self.deg, self.g.directed)
+
+    @cached_property
+    def drift(self) -> DriftModel:
+        return drift_model(self)
+
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        return classify(self)
+
+    @cached_property
+    def fluctuation(self) -> FluctuationReport:
+        return fluctuation(self)
+
+
+def drift_model(problem: Problem) -> DriftModel:
+    """Assemble h(z) = b + zK for the six scheme/neighbourhood cases.
+
+    Directed graphs enter through the in-degrees, which is what problem.deg
+    holds.
+    """
+    cfg, A, deg = problem.cfg, problem.A, problem.deg
+    n = problem.g.n
     I = np.eye(n)
     ADi = A / deg[None, :]
     Ptil = cfg.p * I + (1.0 - cfg.p) * ADi
-    SNR = (A + I) / (deg + 1.0)[None, :]  # (A+I)(I+D)^-1, column stochastic
-    return A, deg, I, ADi, Ptil, SNR
-
-
-def drift_model(cfg: ModelConfig, g: GraphSpec) -> DriftModel:
-    """Assemble h(z) = b + zK for the six scheme/neighbourhood cases.
-
-    Directed graphs enter through the in-degree matrix, which is what
-    matrices() already returns.
-    """
-    A, deg, I, ADi, Ptil, SNR = _model_operators(cfg, g)
-    n = g.n
     if cfg.neighbourhood == "self":
         T = Ptil
     elif cfg.neighbourhood == "neighbour":
         T = Ptil @ ADi
     else:
-        T = Ptil @ SNR
+        T = Ptil @ ((A + I) / (deg + 1.0)[None, :])  # (A+I)(I+D)^-1, column stochastic
 
     if cfg.scheme == "polya":
         return DriftModel(b=np.zeros(n), K=T - I)
@@ -217,14 +291,14 @@ def limit_set(dm: DriftModel, tol: float = 1e-8) -> LimitSet:
                     box=_param_box(particular, basis))
 
 
-def classify(cfg: ModelConfig, g: GraphSpec, ga: GraphAnalysis,
-             sd: SpectralData) -> ClassificationReport:
+def classify(problem: Problem) -> ClassificationReport:
     """Match the configuration against the convergence theorems, in order.
 
     Reports the first theorem whose hypotheses all hold, together with the
     predicted limit set; reports 'unknown' (and no prediction) when none
     applies.
     """
+    cfg, g, ga, sd = problem.cfg, problem.g, problem.analysis, problem.spectral
     p = cfg.p
     bip = ga.bipartition is not None
     regular = ga.regular_degree is not None
@@ -242,7 +316,7 @@ def classify(cfg: ModelConfig, g: GraphSpec, ga: GraphAnalysis,
     checks = tuple(checks)
 
     def report(theorem, with_limit=True):
-        limit = limit_set(drift_model(cfg, g)) if with_limit else None
+        limit = limit_set(problem.drift) if with_limit else None
         return ClassificationReport(theorem, limit, checks)
 
     neigh = cfg.neighbourhood
@@ -288,33 +362,27 @@ def classify(cfg: ModelConfig, g: GraphSpec, ga: GraphAnalysis,
     return report("unknown", with_limit=False)
 
 
-def noise_covariance(cfg: ModelConfig, g: GraphSpec) -> np.ndarray:
+def noise_covariance(problem: Problem) -> np.ndarray:
     """Covariance of the noise term driving the recursion.
 
     The per-urn sampling noise has covariance Gamma = I/(4s) in the limit;
     it enters the state recursion through Mrec = (eta I + kappa A) Omega^-1,
     so the effective covariance is (1/4s) Mrec^T Mrec.
     """
-    A, _ = matrices(g)
-    dp = derive_params(cfg, g)
-    Mrec = (dp.eta * np.eye(g.n) + dp.kappa * A) / dp.omega[None, :].astype(float)
-    return Mrec.T @ Mrec / (4.0 * cfg.s)
+    eta, kappa, omega = problem.params
+    Mrec = (eta * np.eye(problem.g.n) + kappa * problem.A) / omega[None, :].astype(float)
+    return Mrec.T @ Mrec / (4.0 * problem.cfg.s)
 
 
-def sigma_lyapunov(cfg: ModelConfig, g: GraphSpec) -> np.ndarray:
+def sigma_lyapunov(problem: Problem) -> np.ndarray:
     """Stationary covariance from the Lyapunov equation (numerical route)."""
-    dm = drift_model(cfg, g)
-    S = dm.K + 0.5 * np.eye(g.n)
+    S = problem.drift.K + 0.5 * np.eye(problem.g.n)
     if np.max(np.real(np.linalg.eigvals(S))) >= -1e-12:
         raise NotApplicableError("drift is not strictly stable beyond 1/2; no sqrt(t) regime")
-    return scipy.linalg.solve_continuous_lyapunov(S.T, -noise_covariance(cfg, g))
+    return scipy.linalg.solve_continuous_lyapunov(S.T, -noise_covariance(problem))
 
 
-def _rho_matrix(cfg: ModelConfig, g: GraphSpec) -> np.ndarray:
-    return -drift_model(cfg, g).K
-
-
-def fluctuation(cfg: ModelConfig, g: GraphSpec, sd: SpectralData) -> FluctuationReport:
+def fluctuation(problem: Problem) -> FluctuationReport:
     """Scaling regime and limit covariance around the 1/2 limit.
 
     Requires a Friedman model whose classified limit is the unique point
@@ -322,19 +390,18 @@ def fluctuation(cfg: ModelConfig, g: GraphSpec, sd: SpectralData) -> Fluctuation
     sqrt(t) regime with covariance Sigma, rho = 1/2 (within 1e-9) the
     sqrt(t/log t) regime with SigmaTilde, and rho < 1/2 no stated scaling.
     """
+    cfg, g = problem.cfg, problem.g
     if not cfg.is_friedman:
         raise NotApplicableError("fluctuation theory covers Friedman models only")
-    ga = analyze_graph(g)
-    cls = classify(cfg, g, ga, sd)
+    cls = problem.classification
     if cls.applicable_theorem not in ("friedman_unique", "directed_friedman_unique"):
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 
     n = g.n
-    A, deg = matrices(g)
-    ADi = A / deg[None, :]
+    ADi = problem.A / problem.deg[None, :]
     symmetric = not g.directed and np.allclose(ADi, ADi.T, atol=1e-12)
-    rho_eigs = np.linalg.eigvals(_rho_matrix(cfg, g))
+    rho_eigs = np.linalg.eigvals(-problem.drift.K)
     rho = float(np.min(rho_eigs.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)
 
@@ -349,7 +416,7 @@ def fluctuation(cfg: ModelConfig, g: GraphSpec, sd: SpectralData) -> Fluctuation
                 Sigma = (ADi @ ADi) @ np.linalg.inv(M) / (4.0 * cfg.s)
             Sigma = 0.5 * (Sigma + Sigma.T)
         else:
-            Sigma = sigma_lyapunov(cfg, g)
+            Sigma = sigma_lyapunov(problem)
         return FluctuationReport(
             rho=rho, regime="sqrt_t", Gamma=Gamma, Sigma=Sigma, SigmaTilde=None,
             closed_form=closed, near_critical=bool(rho < 0.5 + _NEAR_CRITICAL_BAND))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from urnnet.dynamics import ModelConfig
 from urnnet.graphs import parse_edge_list
+from urnnet.theory import Problem
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0"
 C5_EDGES = "0 1\n1 2\n2 3\n3 4\n4 0"
@@ -9,6 +11,27 @@ K2_EDGES = "0 1"
 P3_EDGES = "0 1\n1 2"
 FIG2_EDGES = "0 1\n1 0\n0 2\n2 3\n3 4\n4 2"
 C3_DIRECTED_EDGES = "0 1\n1 2\n2 0"
+
+
+def problem(g, code="ftsr", p=0.5, s=2, C=1, t0=4, w0=None, sampling="with", seed=0):
+    """Problem on g for a model code with scalar (broadcast) initial composition."""
+    w0 = t0 // 2 if w0 is None else w0
+    cfg = ModelConfig.from_code(code, p=p, s=s, C=C, t0=t0, w0=w0, n=g.n,
+                                sampling=sampling, seed=seed)
+    return Problem(g, cfg)
+
+
+def in_neighbours_oracle(g, v):
+    """Vertices an urn at v samples from, by a literal scan of the edge list."""
+    if g.directed:
+        return sorted(u for (u, w) in g.edges if w == v)
+    out = set()
+    for u, w in g.edges:
+        if u == v:
+            out.add(w)
+        elif w == v:
+            out.add(u)
+    return sorted(out)
 
 
 def grid_edges(rows, cols):

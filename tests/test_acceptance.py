@@ -21,7 +21,7 @@ Two checks are expected to fail and are kept as stated:
 import numpy as np
 import pytest
 
-from urnnet.dynamics import ModelConfig, UrnState, draw_batch, expected_chi
+from urnnet.dynamics import ModelConfig, draw_batch, expected_chi
 from urnnet.experiments import (
     ensemble,
     fluctuation_estimate,
@@ -29,17 +29,9 @@ from urnnet.experiments import (
     rate_fit,
     sync_metrics,
 )
-from urnnet.graphs import analyze_graph, matrices, parse_edge_list
-from urnnet.spectral import eigendecompose, rank_with_tol
-from urnnet.theory import (
-    classify,
-    drift_model,
-    fluctuation,
-    limit_set,
-    noise_covariance,
-    sigma_lyapunov,
-    stability,
-)
+from urnnet.graphs import parse_edge_list
+from urnnet.spectral import rank_with_tol
+from urnnet.theory import Problem, drift_model, fluctuation, sigma_lyapunov, stability
 
 from conftest import (
     C3_DIRECTED_EDGES,
@@ -49,6 +41,7 @@ from conftest import (
     K2_EDGES,
     P3_EDGES,
     grid_edges,
+    problem,
     random_connected_graph,
 )
 
@@ -65,19 +58,14 @@ def graph(edges, directed=False):
     return parse_edge_list(edges, directed=directed)
 
 
-def cfg_for(g, code, p, s=2, C=1, t0=4, w0=None, seed=0):
-    w0 = t0 // 2 if w0 is None else w0
-    return ModelConfig.from_code(code, p=p, s=s, C=C, t0=t0, w0=w0, n=g.n, seed=seed)
-
-
 _cache = {}
 
 
 def final_Z(g, code, p, seed, steps=STEPS, replicas=REPLICAS, **kw):
     key = (g.edges, g.directed, code, p, seed, steps, replicas, tuple(sorted(kw.items())))
     if key not in _cache:
-        cfg = cfg_for(g, code, p, seed=seed, **kw)
-        es = ensemble(cfg, g, replicas=replicas, steps=steps, schedule=[steps], seed=seed)
+        P = problem(g, code, p, seed=seed, **kw)
+        es = ensemble(P, replicas=replicas, steps=steps, schedule=[steps], seed=seed)
         _cache[key] = es
     return _cache[key]
 
@@ -109,7 +97,7 @@ def test_criterion_2_ftsr_p0_c5():
 def test_criterion_3_ftsr_p0_c4_partial_sync():
     g = graph(C4_EDGES)
     es = final_Z(g, "ftsr", 0.0, seed=103)
-    sm = sync_metrics(es, g, analyze_graph(g), STEPS)
+    sm = sync_metrics(problem(g), es, STEPS)
     spread = max(sm.within_v.mean(), sm.within_w.mean())
     frac = np.mean((sm.cross_sum >= 0.97) & (sm.cross_sum <= 1.03))
     ok = spread <= 0.05 and frac >= 0.95
@@ -123,7 +111,7 @@ def test_criterion_3_ftsr_p0_c4_partial_sync():
 def test_criterion_4_polya_sync():
     c5 = graph(C5_EDGES)
     es = final_Z(c5, "ptsr", 0.5, seed=104)
-    sm = sync_metrics(es, c5, analyze_graph(c5), STEPS)
+    sm = sync_metrics(problem(c5), es, STEPS)
     spread = sm.global_spread.mean()
     limit_std = sm.zbar.std()
     report("C4a PTSR C5 p=0.5 global sync", spread <= 0.05,
@@ -132,7 +120,7 @@ def test_criterion_4_polya_sync():
 
     c4 = graph(C4_EDGES)
     es = final_Z(c4, "ptnr", 0.0, seed=105)
-    sm = sync_metrics(es, c4, analyze_graph(c4), STEPS)
+    sm = sync_metrics(problem(c4), es, STEPS)
     spread = max(sm.within_v.mean(), sm.within_w.mean())
     partition_gap = np.abs(sm.zbar_v - sm.zbar_w).mean()
     report("C4b PTNR C4 p=0 partition sync", spread <= 0.05,
@@ -144,16 +132,15 @@ def test_criterion_4_polya_sync():
 
 def _k2_fluct_setup():
     g = graph(K2_EDGES)
-    cfg = cfg_for(g, "ftsr", 0.5, s=1, seed=106)
+    P = problem(g, "ftsr", 0.5, s=1, seed=106)
     es = final_Z(g, "ftsr", 0.5, seed=106, s=1, steps=10_000, replicas=5000)
     emp = fluctuation_estimate(es, 10_000)
-    return g, cfg, emp
+    return P, emp
 
 
 def test_criterion_5a_ftsr_k2_reference_matrix():
-    g, cfg, emp = _k2_fluct_setup()
-    A, d = matrices(g)
-    rep = fluctuation(cfg, g, eigendecompose(A, d, False))
+    P, emp = _k2_fluct_setup()
+    rep = fluctuation(P)
     assert rep.rho == pytest.approx(1.0) and rep.rho > 0.5
     stated = np.array([[0.5, 0.25], [0.25, 0.5]])
     rel = np.linalg.norm(emp - stated) / np.linalg.norm(stated)
@@ -169,9 +156,8 @@ def test_criterion_5a_ftsr_k2_reference_matrix():
 
 
 def test_criterion_5a_empirical_matches_stationary_covariance():
-    g, cfg, emp = _k2_fluct_setup()
-    A, d = matrices(g)
-    rep = fluctuation(cfg, g, eigendecompose(A, d, False))
+    P, emp = _k2_fluct_setup()
+    rep = fluctuation(P)
     rel = np.linalg.norm(emp - rep.Sigma) / np.linalg.norm(rep.Sigma)
     report("C5a* FTSR K2 p=0.5 s=1 vs stationary covariance", rel <= 0.15,
            f"relative Frobenius error = {rel:.3f} (tol 0.15), "
@@ -180,9 +166,7 @@ def test_criterion_5a_empirical_matches_stationary_covariance():
 
 def test_criterion_5b_ftnr_c4_p08():
     g = graph(C4_EDGES)
-    cfg = cfg_for(g, "ftnr", 0.8, s=2, seed=107)
-    A, d = matrices(g)
-    rep = fluctuation(cfg, g, eigendecompose(A, d, False))
+    rep = fluctuation(problem(g, "ftnr", 0.8, s=2, seed=107))
     es = final_Z(g, "ftnr", 0.8, seed=107, s=2, steps=10_000, replicas=5000)
     emp = fluctuation_estimate(es, 10_000)
     v = np.array([1, -1, 1, -1]) / 2.0
@@ -207,11 +191,10 @@ def test_criterion_6_decay_rate_c4():
     g = graph(C4_EDGES)
     cfg = ModelConfig.from_code("ftsr", p=0.0, s=2, C=1, t0=100,
                                 w0=[25, 50, 75, 50], n=4, seed=108)
-    es = ensemble(cfg, g, replicas=512, steps=STEPS,
+    P = Problem(g, cfg)
+    es = ensemble(P, replicas=512, steps=STEPS,
                   schedule="geometric(1.25)", seed=108)
-    A, d = matrices(g)
-    sd = eigendecompose(A, d, False)
-    theta = sd.theta
+    theta = P.spectral.theta
     contrast = np.array([1.0, 0.0, -1.0, 0.0])  # same-partition contrast
     fit = rate_fit(es, "mean-gap", (1000, STEPS), contrast)
     err = abs(fit.slope - (-theta))
@@ -237,8 +220,7 @@ def test_criterion_7_directed_manifold_fig2():
     report("C7a FTSR fig-2 digraph p=0 limit manifold", ok,
            "; ".join(f"{k} = {v:.4f}" for k, v in means.items()) + " (tol 0.1 each)")
     # cross-check: replica states lie near the one-parameter family itself
-    cls = classify(cfg_for(g, "ftsr", 0.0), g, analyze_graph(g),
-                   eigendecompose(*matrices(g), True))
+    cls = problem(g, "ftsr", 0.0).classification
     dist = manifold_distance(es, cls.predicted_limit, STEPS).mean()
     assert dist <= 0.05, f"mean family residual {dist:.4f}"
 
@@ -266,7 +248,7 @@ def test_criterion_8_exact_algebra():
     for g in graphs.values():
         for code in ALL_CODES:
             for p in (0.0, 0.3, 0.7, 1.0):
-                dm = drift_model(cfg_for(g, code, p), g)
+                dm = drift_model(problem(g, code, p))
                 worst = max(worst, float(np.max(np.abs(dm(np.full(g.n, 0.5))))))
     report("C8a h(1/2)=0 all assemblies", worst < 1e-12, f"max residual {worst:.1e}")
 
@@ -277,7 +259,7 @@ def test_criterion_8_exact_algebra():
         g = random_connected_graph(rng)
         for code in ("ftsr", "ftnr", "ftsnr"):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-                eig, stable = stability(drift_model(cfg_for(g, code, p), g))
+                eig, stable = stability(drift_model(problem(g, code, p)))
                 assert stable
                 worst_hi = max(worst_hi, float(eig.real.max()))
                 worst_lo = min(worst_lo, float(eig.real.min()))
@@ -288,9 +270,9 @@ def test_criterion_8_exact_algebra():
     # (c) rank of I + AD^-1: N-1 iff bipartite
     ranks_ok = True
     for name, g in graphs.items():
-        A, d = matrices(g)
-        M = np.eye(g.n) + A / d[None, :]
-        bip = analyze_graph(g).bipartition is not None
+        P = problem(g)
+        M = np.eye(g.n) + P.A / P.deg[None, :]
+        bip = P.analysis.bipartition is not None
         ranks_ok &= rank_with_tol(M) == (g.n - 1 if bip else g.n)
     report("C8c rank(I+AD^-1) = N-1 iff bipartite", ranks_ok, "K2/P3/C4/C5/grid3x3")
 
@@ -298,9 +280,7 @@ def test_criterion_8_exact_algebra():
     gam_ok = True
     for s in (1, 2, 7):
         for code in ("ftsr", "ftnr"):
-            cfg = cfg_for(graphs["C5"], code, 0.6, s=s)
-            rep = fluctuation(cfg, graphs["C5"],
-                              eigendecompose(*matrices(graphs["C5"]), False))
+            rep = fluctuation(problem(graphs["C5"], code, 0.6, s=s))
             gam_ok &= np.array_equal(rep.Gamma, np.eye(5) / (4 * s))
     report("C8d Gamma = I/(4s)", gam_ok, "s in {1,2,7}, both reinforcement flows")
 
@@ -310,17 +290,16 @@ def test_criterion_8_exact_algebra():
     c6 = graph("0 1\n1 2\n2 3\n3 4\n4 5\n5 0")
     k4 = graph("0 1\n0 2\n0 3\n1 2\n1 3\n2 3")
     for g in (graphs["K2"], graphs["C4"], graphs["C5"], c6, k4):
-        sd = eigendecompose(*matrices(g), False)
         for code in ("ftsr", "ftnr"):
             for p in (0.3, 0.6, 0.9, 1.0):
-                cfg = cfg_for(g, code, p, s=2)
+                P = problem(g, code, p, s=2)
                 try:
-                    rep = fluctuation(cfg, g, sd)
+                    rep = fluctuation(P)
                 except Exception:
                     continue
                 if rep.regime != "sqrt_t" or not rep.closed_form:
                     continue
-                worst = max(worst, float(np.max(np.abs(rep.Sigma - sigma_lyapunov(cfg, g)))))
+                worst = max(worst, float(np.max(np.abs(rep.Sigma - sigma_lyapunov(P)))))
                 count += 1
     ok = worst < 1e-6 and count >= 20
     report("C8e Lyapunov fallback vs closed forms", ok,
@@ -337,14 +316,13 @@ def test_criterion_9_sampling_mode_equivalence():
     for case in range(50):
         T = int(rng.integers(6, 60))
         W = rng.integers(1, T, size=3)
-        state = UrnState(t=0, W=W, T=np.full(3, T))
+        Ts = np.full(3, T)
         p = float(rng.uniform())
         scheme = "ftsr" if case % 2 else "ptsr"
         for mode in ("with", "without"):
-            cfg = ModelConfig.from_code(scheme, p=p, s=3, C=1, t0=T, w0=1,
-                                        n=3, sampling=mode)
-            _, _, chi = draw_batch(state, cfg, g, rng=rng, ndraws=ndraws)
-            want = expected_chi(state, cfg, g)
+            P = problem(g, scheme, p, s=3, t0=T, w0=1, sampling=mode)
+            _, _, chi = draw_batch(P, W, Ts, rng=rng, ndraws=ndraws)
+            want = expected_chi(P, W, Ts)
             se = chi.std(axis=0, ddof=1) / np.sqrt(ndraws)
             zscores = np.abs(chi.mean(axis=0) - want) / se
             worst = max(worst, float(zscores.max()))

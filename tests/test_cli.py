@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from urnnet.cli import main
 
-from conftest import C4_EDGES, C5_EDGES, FIG2_EDGES, K2_EDGES
+from conftest import C4_EDGES, C5_EDGES, FIG2_EDGES, K2_EDGES, grid_edges
 
 
 @pytest.fixture
@@ -182,3 +183,66 @@ def test_export_limit(c4_file, tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "vector,component,value"
     assert any(row.startswith("basis0,") for row in lines)
+
+
+@pytest.mark.parametrize("schedule", ["geometric(1.2)", "all"])
+def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "-5",
+               "--schedule", schedule, "--out", str(out)])
+    assert rc == 2
+    assert "steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--schedule", "geometric(abc)"),
+    ("--schedule", "1,x,3"),
+    ("--t0", "abc"),
+    ("--w0", "abc"),
+])
+def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
+    rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
+               flag, value])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"graph = {c4_file}\nmodel = zzz\n")
+    rc = main(["analyze", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "zzz" in capsys.readouterr().err
+
+
+# SHA-256 of `simulate --out` and `--stats-out`. The RNG stream layout is part
+# of the determinism contract, so a change to it must show up here.
+@pytest.mark.parametrize("edges,directed,flags,out_sha,stats_sha", [
+    (C4_EDGES, False,
+     ["--model", "ftsr", "--p", "0.5", "--s", "2", "--t0", "4", "--w0", "2",
+      "--steps", "200", "--replicas", "4", "--seed", "7"],
+     "c11d2616c121cf0e21218f9a99b4d9c8121bdabe88c933478a3e306b2edc6a8f",
+     "1edc8f0a043d2d6e93705289d272dc10f267850d0798cddb8d00048247bb2482"),
+    (grid_edges(3, 3), False,
+     ["--model", "ptsnr", "--p", "0.3", "--s", "2", "--t0", "6", "--w0", "3",
+      "--steps", "100", "--replicas", "3", "--seed", "5", "--sampling", "without"],
+     "b879f2f13c17cd54db598d6e9715a63a46e1f66677b20789dc8fa5e3da8b7101",
+     "1ea51446af43150750b876c3fbfb408ff58e5f4d1bedd72e37d821dc5fc32317"),
+    (FIG2_EDGES, True,
+     ["--model", "ftnr", "--p", "0.4", "--s", "3", "--t0", "8", "--w0", "3",
+      "--steps", "100", "--replicas", "3", "--seed", "11"],
+     "bbeb55c9cb38428f2d90758ac30746c2046abc316759f2684ee7e16a9a93471a",
+     "a8df9adfbc20e985c31763f559071f043d8edda404e19577b8a2ce15b729dbe4"),
+], ids=["c4-ftsr-with", "grid3x3-ptsnr-without", "fig2-ftnr-directed"])
+def test_simulate_stream_layout_pinned(tmp_path, edges, directed, flags, out_sha,
+                                       stats_sha, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text(edges + "\n")
+    out, stats = tmp_path / "t.csv", tmp_path / "s.csv"
+    rc = main(["simulate", "--graph", str(graph)] + (["--directed"] if directed else [])
+              + flags + ["--out", str(out), "--stats-out", str(stats)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_sha
+    capsys.readouterr()

@@ -10,9 +10,9 @@ from urnnet.errors import (
     SelfLoopError,
     ZeroInDegreeError,
 )
-from urnnet.graphs import analyze_graph, matrices, parse_edge_list
+from urnnet.graphs import analyze_graph, in_neighbours, parse_edge_list
 
-from conftest import FIG2_EDGES, random_connected_graph
+from conftest import FIG2_EDGES, in_neighbours_oracle, problem, random_connected_graph
 
 
 def test_parse_single_edge():
@@ -35,7 +35,7 @@ def test_parse_duplicates_and_orientation_collapse():
 
 def test_parse_fig2_in_degrees():
     g = parse_edge_list(FIG2_EDGES, directed=True)
-    _, din = matrices(g)
+    _, din = in_neighbours(g)
     assert din.tolist() == [1, 1, 2, 1, 1]
 
 
@@ -58,13 +58,15 @@ def test_parse_explicit_n_out_of_range():
 
 
 def test_matrices_k2(k2):
-    A, d = matrices(k2)
+    P = problem(k2)
+    A, d = P.A, P.deg
     assert A.tolist() == [[0, 1], [1, 0]]
     assert d.tolist() == [1, 1]
 
 
 def test_matrices_p3_column_stochastic(p3):
-    A, d = matrices(p3)
+    P = problem(p3)
+    A, d = P.A, P.deg
     assert d.tolist() == [1, 2, 1]
     col_sums = (A / d[None, :]).sum(axis=0)
     assert np.allclose(col_sums, 1.0, atol=1e-12)
@@ -121,7 +123,8 @@ def _has_odd_cycle(A):
 @given(st.integers(0, 10_000))
 def test_bipartition_xor_odd_cycle(seed):
     g = random_connected_graph(np.random.default_rng(seed))
-    A, d = matrices(g)
+    P = problem(g)
+    A, d = P.A, P.deg
     ga = analyze_graph(g)
     assert (ga.bipartition is not None) == (not _has_odd_cycle(A))
     if ga.bipartition is not None:
@@ -131,11 +134,20 @@ def test_bipartition_xor_odd_cycle(seed):
             assert (u in V) != (v in V)
     # column-stochastic transfer matrix, for both orientations of degree use
     assert np.allclose((A / d[None, :]).sum(axis=0), 1.0, atol=1e-12)
+    # in-neighbour lists agree with a literal scan of the edge list and with A
+    flat, deg = in_neighbours(g)
+    off = np.cumsum(deg) - deg
+    for v in range(g.n):
+        nbrs = flat[off[v]:off[v] + deg[v]].tolist()
+        assert nbrs == in_neighbours_oracle(g, v) == np.flatnonzero(A[:, v]).tolist()
 
 
 def test_in_neighbours_directed(fig2):
-    assert fig2.in_neighbours(2) == [0, 4]
-    assert fig2.in_neighbours(0) == [1]
+    flat, deg = in_neighbours(fig2)
+    assert deg.tolist() == [1, 1, 2, 1, 1]
+    assert flat.tolist() == [1, 0, 0, 4, 2, 3]  # vertex 2 samples from 0 and 4
+    assert in_neighbours_oracle(fig2, 2) == [0, 4]
+    assert in_neighbours_oracle(fig2, 0) == [1]
 
 
 def test_graphspec_immutable(c4):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urnnet.graphs import analyze_graph, matrices
-from urnnet.spectral import eigendecompose, nullspace, rank_with_tol
+from urnnet.spectral import nullspace, rank_with_tol
 
-from conftest import random_connected_graph
+from conftest import problem, random_connected_graph
 
 
 def _spec(g):
-    A, d = matrices(g)
-    return A, d, eigendecompose(A, d, g.directed)
+    P = problem(g)
+    return P.A, P.deg, P.spectral
 
 
 def test_k2_eigenvalues(k2):
@@ -35,7 +34,7 @@ def test_p3_eigenvalues(p3):
 
 def test_rank_examples(c4, c5):
     for g, expected in ((c5, 5), (c4, 3)):
-        A, d = matrices(g)
+        A, d, _ = _spec(g)
         M = np.eye(g.n) + A / d[None, :]
         assert rank_with_tol(M) == expected
     assert rank_with_tol(np.zeros((4, 4))) == 0
@@ -49,7 +48,7 @@ def test_c5_smallest_eigenvalue(c5):
 
 
 def test_nullspace_c4_alternating(c4):
-    A, d = matrices(c4)
+    A, d, _ = _spec(c4)
     M = np.eye(4) + A / d[None, :]
     basis = nullspace(M)
     assert basis.shape == (1, 4)
@@ -63,7 +62,7 @@ def test_nullspace_full_rank_empty():
 
 
 def test_nullspace_ones_vector_c5(c5):
-    A, _ = matrices(c5)
+    A, _, _ = _spec(c5)
     M = 2 * np.eye(5) - A  # row sums equal the degree
     basis = nullspace(M)
     assert basis.shape == (1, 5)
@@ -72,8 +71,7 @@ def test_nullspace_ones_vector_c5(c5):
 
 def test_reconstruct_roundtrip(c4, c5, p3):
     for g in (c4, c5, p3):
-        A, d = matrices(g)
-        sd = eigendecompose(A, d, False)
+        A, d, sd = _spec(g)
         M = np.eye(g.n) + A / d[None, :]
         assert np.max(np.abs(sd.reconstruct() - M)) < 1e-8
 
@@ -92,9 +90,8 @@ def test_directed_fig2_spectrum(fig2):
 @given(st.integers(0, 10_000))
 def test_spectrum_properties_random_graphs(seed):
     g = random_connected_graph(np.random.default_rng(seed))
-    A, d = matrices(g)
-    sd = eigendecompose(A, d, False)
-    ga = analyze_graph(g)
+    P = problem(g)
+    A, d, sd, ga = P.A, P.deg, P.spectral, P.analysis
     lam = sd.eigenvalues
     assert np.all(lam > -1e-10) and np.all(lam < 2 + 1e-10)
     bipartite = ga.bipartition is not None

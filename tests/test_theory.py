@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urnnet.dynamics import ModelConfig, UrnState, derive_params, expected_chi
+from urnnet.dynamics import ModelConfig, expected_chi
 from urnnet.errors import AssumptionViolatedError, NotApplicableError
-from urnnet.graphs import analyze_graph, matrices
-from urnnet.spectral import eigendecompose
 from urnnet.theory import (
+    Problem,
     classify,
     decay_exponents,
     drift_model,
@@ -17,25 +16,15 @@ from urnnet.theory import (
     stability,
 )
 
-from conftest import random_connected_graph
+from conftest import problem, random_connected_graph
 
 ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
-
-
-def cfg_for(g, code, p, s=2, C=1, t0=4, w0=None, seed=0):
-    w0 = t0 // 2 if w0 is None else w0
-    return ModelConfig.from_code(code, p=p, s=s, C=C, t0=t0, w0=w0, n=g.n, seed=seed)
-
-
-def spectral(g):
-    A, d = matrices(g)
-    return eigendecompose(A, d, g.directed)
 
 
 # --- drift assembly -------------------------------------------------------
 
 def test_ftsr_k2_p0_drift(k2):
-    dm = drift_model(cfg_for(k2, "ftsr", 0.0), k2)
+    dm = drift_model(problem(k2, "ftsr", 0.0))
     assert np.allclose(dm.b, 1.0)
     assert np.allclose(dm.K, [[-1, -1], [-1, -1]])
     assert np.allclose(dm(np.array([0.3, 0.7])), 0.0)
@@ -44,12 +33,12 @@ def test_ftsr_k2_p0_drift(k2):
 
 
 def test_ftsr_p1_jacobian_is_minus_2I(c5):
-    dm = drift_model(cfg_for(c5, "ftsr", 1.0), c5)
+    dm = drift_model(problem(c5, "ftsr", 1.0))
     assert np.allclose(dm.K, -2 * np.eye(5))
 
 
 def test_ptsr_p1_zero_drift(c4):
-    dm = drift_model(cfg_for(c4, "ptsr", 1.0), c4)
+    dm = drift_model(problem(c4, "ptsr", 1.0))
     assert np.allclose(dm.K, 0.0) and np.allclose(dm.b, 0.0)
 
 
@@ -57,21 +46,21 @@ def test_ptsr_p1_zero_drift(c4):
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_half_is_always_a_zero_of_h(code, p, c4, c5, p3):
     for g in (c4, c5, p3):
-        dm = drift_model(cfg_for(g, code, p), g)
+        dm = drift_model(problem(g, code, p))
         assert np.max(np.abs(dm(np.full(g.n, 0.5)))) < 1e-12
 
 
 @pytest.mark.parametrize("code", ("ftsr", "ftnr", "ftsnr"))
 def test_friedman_columns_of_minus_K_sum_to_two(code, c4, p3, grid33):
     for g in (c4, p3, grid33):
-        dm = drift_model(cfg_for(g, code, 0.37), g)
+        dm = drift_model(problem(g, code, 0.37))
         assert np.allclose((-dm.K).sum(axis=0), 2.0, atol=1e-12)
 
 
 def test_ftsr_p0_equals_ftnr_p1(c5, p3):
     for g in (c5, p3):
-        a = drift_model(cfg_for(g, "ftsr", 0.0), g)
-        b = drift_model(cfg_for(g, "ftnr", 1.0), g)
+        a = drift_model(problem(g, "ftsr", 0.0))
+        b = drift_model(problem(g, "ftnr", 1.0))
         assert np.allclose(a.K, b.K) and np.allclose(a.b, b.b)
 
 
@@ -80,16 +69,15 @@ def test_drift_consistent_with_sampling_mean(c4, p3, fig2):
     # dynamics module, must agree with the closed-form matrices
     rng = np.random.default_rng(7)
     for g in (c4, p3, fig2):
-        A, _ = matrices(g)
         for code in ALL_CODES:
-            cfg = cfg_for(g, code, p=float(rng.uniform()), s=3, t0=50)
-            dp = derive_params(cfg, g)
-            dm = drift_model(cfg, g)
+            P = problem(g, code, p=float(rng.uniform()), s=3, t0=50)
+            dp = P.params
+            dm = drift_model(P)
             W = rng.integers(1, 50, size=g.n)
-            state = UrnState(t=0, W=W, T=np.full(g.n, 50))
-            z = state.Z
-            flow = (dp.eta * np.eye(g.n) + dp.kappa * A) / dp.omega[None, :]
-            direct = expected_chi(state, cfg, g) @ flow / cfg.s - z
+            T = np.full(g.n, 50)
+            z = W / T
+            flow = (dp.eta * np.eye(g.n) + dp.kappa * P.A) / dp.omega[None, :]
+            direct = expected_chi(P, W, T) @ flow / P.cfg.s - z
             assert np.allclose(direct, dm(z), atol=1e-12), (code, g.n)
 
 
@@ -98,7 +86,7 @@ def test_drift_consistent_with_sampling_mean(c4, p3, fig2):
        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
 def test_friedman_jacobian_real_parts_in_band(seed, code, p):
     g = random_connected_graph(np.random.default_rng(seed))
-    eig, stable = stability(drift_model(cfg_for(g, code, p), g))
+    eig, stable = stability(drift_model(problem(g, code, p)))
     assert stable
     assert np.all(eig.real >= -2 - 1e-9) and np.all(eig.real <= 1e-9)
 
@@ -106,13 +94,13 @@ def test_friedman_jacobian_real_parts_in_band(seed, code, p):
 # --- limit sets ----------------------------------------------------------
 
 def test_limit_unique_point_ftsnr_c5(c5):
-    ls = limit_set(drift_model(cfg_for(c5, "ftsnr", 0.8), c5))
+    ls = limit_set(drift_model(problem(c5, "ftsnr", 0.8)))
     assert ls.kind == "unique_point"
     assert np.allclose(ls.particular, 0.5)
 
 
 def test_limit_family_ftsr_p0_c4(c4):
-    ls = limit_set(drift_model(cfg_for(c4, "ftsr", 0.0), c4))
+    ls = limit_set(drift_model(problem(c4, "ftsr", 0.0)))
     assert ls.kind == "one_parameter"
     v = ls.basis[0] / ls.basis[0][0]
     assert np.allclose(v, [1, -1, 1, -1], atol=1e-10)  # alternates by partition
@@ -122,7 +110,7 @@ def test_limit_family_ftsr_p0_c4(c4):
 
 
 def test_limit_family_fig2(fig2):
-    ls = limit_set(drift_model(cfg_for(fig2, "ftsr", 0.0), fig2))
+    ls = limit_set(drift_model(problem(fig2, "ftsr", 0.0)))
     assert ls.kind == "one_parameter"
 
     def family(a):
@@ -146,7 +134,7 @@ def test_polya_limit_families(c4, c5):
     for code, p, g, dim in (("ptsr", 0.5, c5, 1), ("ptnr", 0.5, c5, 1),
                             ("ptsnr", 0.0, c5, 1), ("ptsr", 0.0, c4, 1),
                             ("ptnr", 0.0, c4, 2)):
-        ls = limit_set(drift_model(cfg_for(g, code, p), g))
+        ls = limit_set(drift_model(problem(g, code, p)))
         assert ls.dimension == dim, (code, p)
         if dim == 1:
             v = ls.basis[0]
@@ -161,32 +149,29 @@ def test_polya_limit_families(c4, c5):
 # --- classification -------------------------------------------------------
 
 def test_classify_examples(c4, c5):
-    sd5, ga5 = spectral(c5), analyze_graph(c5)
-    sd4, ga4 = spectral(c4), analyze_graph(c4)
-    r = classify(cfg_for(c5, "ftsr", 0.5), c5, ga5, sd5)
+    r = classify(problem(c5, "ftsr", 0.5))
     assert r.applicable_theorem == "friedman_unique"
     assert np.allclose(r.predicted_limit.particular, 0.5)
-    r = classify(cfg_for(c5, "ftsr", 0.0), c5, ga5, sd5)
+    r = classify(problem(c5, "ftsr", 0.0))
     assert r.applicable_theorem == "friedman_unique"  # non-bipartite
-    r = classify(cfg_for(c4, "ftsr", 0.0), c4, ga4, sd4)
+    r = classify(problem(c4, "ftsr", 0.0))
     assert r.applicable_theorem == "friedman_bipartite_partial_sync"
-    r = classify(cfg_for(c4, "ftnr", 1.0), c4, ga4, sd4)
+    r = classify(problem(c4, "ftnr", 1.0))
     assert r.applicable_theorem == "friedman_bipartite_partial_sync"
-    r = classify(cfg_for(c4, "ptnr", 0.0), c4, ga4, sd4)
+    r = classify(problem(c4, "ptnr", 0.0))
     assert r.applicable_theorem == "polya_bipartite_two_param"
     assert r.predicted_limit.dimension == 2
-    r = classify(cfg_for(c5, "ptsr", 0.5), c5, ga5, sd5)
+    r = classify(problem(c5, "ptsr", 0.5))
     assert r.applicable_theorem == "polya_regular_sync"
-    r = classify(cfg_for(c5, "ptsr", 1.0), c5, ga5, sd5)
+    r = classify(problem(c5, "ptsr", 1.0))
     assert r.applicable_theorem == "unknown"  # independent urns: no claim
     assert r.predicted_limit is None
 
 
 def test_classify_requires_uniform_t0_for_partial_sync(c4):
-    sd, ga = spectral(c4), analyze_graph(c4)
     cfg = ModelConfig.from_code("ftsr", p=0.0, s=2, C=1, t0=[4, 6, 4, 6],
                                 w0=[2, 3, 2, 3], n=4)
-    r = classify(cfg, c4, ga, sd)
+    r = classify(Problem(c4, cfg))
     assert r.applicable_theorem == "unknown"
     assert ("uniform_t0", False) in r.assumptions_checked
 
@@ -200,16 +185,15 @@ def test_classify_directed(fig2, c3_directed):
         (fig2, "ftnr", 1.0, "directed_general"),
         (fig2, "ptsr", 0.5, "unknown"),
     ):
-        r = classify(cfg_for(g, code, p), g, analyze_graph(g), spectral(g))
+        r = classify(problem(g, code, p))
         assert r.applicable_theorem == want, (g.n, code, p)
 
 
 def test_classify_unique_iff_limit_set_is_point(c4, c5, p3, grid33):
     for g in (c4, c5, p3, grid33):
-        ga, sd = analyze_graph(g), spectral(g)
         for code in ("ftsr", "ftnr", "ftsnr"):
             for p in (0.0, 0.25, 0.75, 1.0):
-                r = classify(cfg_for(g, code, p), g, ga, sd)
+                r = classify(problem(g, code, p))
                 if r.applicable_theorem == "friedman_unique":
                     assert r.predicted_limit.kind == "unique_point"
                     assert np.allclose(r.predicted_limit.particular, 0.5)
@@ -217,17 +201,17 @@ def test_classify_unique_iff_limit_set_is_point(c4, c5, p3, grid33):
 
 # --- fluctuation covariances ----------------------------------------------
 
-def moment_recursion_cov(g, cfg, steps):
+def moment_recursion_cov(P, steps):
     """Exact propagation of E[Z_t] and E[Z_t^T Z_t] (with-replacement).
 
     Independent oracle for the stationary covariance: applies the one-step
     conditional mean and the per-urn sampling variance to the joint moments,
     with no reference to the drift/Lyapunov machinery under test.
     """
-    A, deg = matrices(g)
+    g, cfg, A, deg = P.g, P.cfg, P.A, P.deg
     n = g.n
     one = np.ones(n)
-    dp = derive_params(cfg, g)
+    dp = P.params
     R = (dp.eta * np.eye(n) + dp.kappa * A)
     Ptil = cfg.p * np.eye(n) + (1 - cfg.p) * (A / deg[None, :])
     Wmix = cfg.p * np.eye(n) + (1 - cfg.p) * (A / deg[None, :]).T
@@ -255,54 +239,51 @@ def moment_recursion_cov(g, cfg, steps):
 
 
 def test_sigma_k2_ftsr_matches_exact_moments(k2):
-    cfg = cfg_for(k2, "ftsr", 0.5, s=1)
-    rep = fluctuation(cfg, k2, spectral(k2))
+    P = problem(k2, "ftsr", 0.5, s=1)
+    rep = fluctuation(P)
     assert rep.regime == "sqrt_t" and rep.rho == pytest.approx(1.0)
     assert np.allclose(rep.Sigma, [[1 / 6, -1 / 12], [-1 / 12, 1 / 6]], atol=1e-12)
     t = 20_000
-    _, V = moment_recursion_cov(k2, cfg, t)
+    _, V = moment_recursion_cov(P, t)
     assert np.max(np.abs(t * V - rep.Sigma)) < 5e-3 * np.max(np.abs(rep.Sigma))
 
 
 def test_sigma_ftnr_matches_exact_moments(c4):
-    cfg = cfg_for(c4, "ftnr", 0.5, s=2)
-    rep = fluctuation(cfg, c4, spectral(c4))
+    P = problem(c4, "ftnr", 0.5, s=2)
+    rep = fluctuation(P)
     assert rep.regime == "sqrt_t" and rep.closed_form
     t = 20_000
-    _, V = moment_recursion_cov(c4, cfg, t)
+    _, V = moment_recursion_cov(P, t)
     assert np.max(np.abs(t * V - rep.Sigma)) < 1e-2 * np.max(np.abs(rep.Sigma))
 
 
 def test_sigma_ftsr_p1_single_urn_rate(k2):
     # independent urns: stationary scaled variance 1/(12 s) per urn
     for s in (1, 3):
-        cfg = cfg_for(k2, "ftsr", 1.0, s=s)
-        rep = fluctuation(cfg, k2, spectral(k2))
+        rep = fluctuation(problem(k2, "ftsr", 1.0, s=s))
         assert np.allclose(rep.Sigma, np.eye(2) / (12 * s), atol=1e-12)
 
 
 def test_gamma_is_quarter_s_identity(c4, c5):
     for g, code, s in ((c4, "ftnr", 2), (c5, "ftsr", 5)):
-        cfg = cfg_for(g, code, 0.6, s=s)
-        rep = fluctuation(cfg, g, spectral(g))
+        rep = fluctuation(problem(g, code, 0.6, s=s))
         assert np.allclose(rep.Gamma, np.eye(g.n) / (4 * s), atol=1e-15)
 
 
 def test_lyapunov_matches_closed_forms(k2, c4, c5):
     checked = 0
     for g in (k2, c4, c5):
-        sd = spectral(g)
         for code in ("ftsr", "ftnr"):
             for p in (0.35, 0.6, 0.9, 1.0):
-                cfg = cfg_for(g, code, p, s=2)
+                P = problem(g, code, p, s=2)
                 try:
-                    rep = fluctuation(cfg, g, sd)
+                    rep = fluctuation(P)
                 except NotApplicableError:
                     continue  # e.g. FTNR p=1 on a bipartite graph: no unique limit
                 if rep.regime != "sqrt_t":
                     continue
                 assert rep.closed_form
-                assert np.max(np.abs(rep.Sigma - sigma_lyapunov(cfg, g))) < 1e-6
+                assert np.max(np.abs(rep.Sigma - sigma_lyapunov(P))) < 1e-6
                 checked += 1
     assert checked >= 12
 
@@ -310,8 +291,7 @@ def test_lyapunov_matches_closed_forms(k2, c4, c5):
 def test_sigma_psd_symmetric(c4, c5, grid33):
     for g in (c5, grid33):
         for code in ("ftsr", "ftnr", "ftsnr"):
-            cfg = cfg_for(g, code, 0.7, s=2)
-            rep = fluctuation(cfg, g, spectral(g))
+            rep = fluctuation(problem(g, code, 0.7, s=2))
             if rep.Sigma is None:
                 continue
             assert np.allclose(rep.Sigma, rep.Sigma.T, atol=1e-10)
@@ -319,15 +299,14 @@ def test_sigma_psd_symmetric(c4, c5, grid33):
 
 
 def test_fluctuation_critical_regime(c4):
-    cfg = cfg_for(c4, "ftsr", 0.25, s=2)  # rho = 2p = 1/2 on a bipartite graph
-    rep = fluctuation(cfg, c4, spectral(c4))
+    rep = fluctuation(problem(c4, "ftsr", 0.25, s=2))  # rho = 2p = 1/2 on a bipartite graph
     assert rep.regime == "sqrt_t_over_log_t"
     v = np.array([1, -1, 1, -1]) / 2
     assert np.allclose(rep.SigmaTilde, np.outer(v, v) / 8, atol=1e-12)
 
 
 def test_fluctuation_subcritical_reports_not_applicable(c4):
-    rep = fluctuation(cfg_for(c4, "ftnr", 0.8, s=2), c4, spectral(c4))
+    rep = fluctuation(problem(c4, "ftnr", 0.8, s=2))
     assert rep.rho == pytest.approx(0.4)
     assert rep.regime == "not_applicable"
     assert rep.Sigma is None
@@ -335,35 +314,34 @@ def test_fluctuation_subcritical_reports_not_applicable(c4):
 
 def test_fluctuation_requires_unique_friedman_limit(c4):
     with pytest.raises(NotApplicableError):
-        fluctuation(cfg_for(c4, "ptsr", 0.5), c4, spectral(c4))
+        fluctuation(problem(c4, "ptsr", 0.5))
     with pytest.raises(NotApplicableError):
-        fluctuation(cfg_for(c4, "ftsr", 0.0), c4, spectral(c4))  # partial sync
+        fluctuation(problem(c4, "ftsr", 0.0))  # partial sync
 
 
 def test_noise_covariance_shapes(c4):
     # self-reinforcement noise is isotropic; neighbour reinforcement pushes
     # the noise through the transfer matrix
-    A, deg = matrices(c4)
-    ADi = A / deg[None, :]
+    P = problem(c4, "ftnr", 0.3, s=2)
+    ADi = P.A / P.deg[None, :]
     s = 2
-    assert np.allclose(noise_covariance(cfg_for(c4, "ftsr", 0.3, s=s), c4),
+    assert np.allclose(noise_covariance(problem(c4, "ftsr", 0.3, s=s)),
                        np.eye(4) / (4 * s))
-    assert np.allclose(noise_covariance(cfg_for(c4, "ftnr", 0.3, s=s), c4),
-                       ADi.T @ ADi / (4 * s))
+    assert np.allclose(noise_covariance(P), ADi.T @ ADi / (4 * s))
 
 
 # --- decay exponents ------------------------------------------------------
 
 def test_decay_examples(k2, c4, p3):
-    d = decay_exponents(spectral(c4))
+    d = decay_exponents(problem(c4).spectral)
     assert d.mean_exponent == pytest.approx(1.0)
     assert d.variance_exponent == pytest.approx(1.0) and d.log_correction
-    d = decay_exponents(spectral(k2))
+    d = decay_exponents(problem(k2).spectral)
     assert d.mean_exponent == pytest.approx(2.0)
     assert d.variance_exponent == pytest.approx(1.0) and not d.log_correction
-    assert decay_exponents(spectral(p3)).mean_exponent == pytest.approx(1.0)
+    assert decay_exponents(problem(p3).spectral).mean_exponent == pytest.approx(1.0)
 
 
 def test_decay_requires_bipartite(c5):
     with pytest.raises(AssumptionViolatedError):
-        decay_exponents(spectral(c5))
+        decay_exponents(problem(c5).spectral)
