@@ -11,13 +11,15 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import experiments, theory
 from .dynamics import MODEL_CODES, ModelConfig, simulate_ensemble
-from .errors import UrnnetError
+from .errors import ConfigError, UrnnetError
 from .graphs import load_edge_file
 
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
@@ -35,26 +37,38 @@ def _fmt_matrix(M) -> list:
     return [[sig12(x) for x in row] for row in np.asarray(M)]
 
 
-def _parse_int_list(text: str, n: int) -> np.ndarray:
-    parts = [p for p in text.replace(",", " ").split() if p]
+def _parse_int_list(value, n: int) -> np.ndarray:
+    """One or n integers: a flag or key=value string ('4', '4,5,6'), or a
+    JSON config number or list."""
+    parts = ([str(v) for v in value] if isinstance(value, list)
+             else str(value).replace(",", " ").split())
     try:
         vals = [int(p) for p in parts]
     except ValueError:
-        raise UrnnetError(f"expected integers, got {text!r}") from None
+        raise UrnnetError(f"expected integers, got {value!r}") from None
     if len(vals) == 1:
         return np.full(n, vals[0], dtype=np.int64)
     if len(vals) != n:
-        raise UrnnetError(f"expected 1 or {n} values, got {len(vals)} in {text!r}")
+        raise UrnnetError(f"expected 1 or {n} values, got {len(vals)} in {value!r}")
     return np.asarray(vals, dtype=np.int64)
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    return obj
 
 
 def _load_config_file(path) -> dict:
     """Optional config file: JSON object or 'key = value' lines."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    if text.lstrip().startswith("{"):
+        return _json_object(text, f"config file {path}")
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -123,6 +137,8 @@ def _load_problem(args) -> tuple:
     graph_path = _resolve(args, "graph", file_cfg)
     if not graph_path:
         raise UrnnetError("missing --graph")
+    if not isinstance(graph_path, str):  # open() would take a number as a descriptor
+        raise ConfigError(f"graph must be a file path, got {graph_path!r}")
     directed = _resolve(args, "directed", file_cfg, default=False)
     if isinstance(directed, str):
         directed = directed.strip().lower() in ("1", "true", "yes")
@@ -139,20 +155,27 @@ def _load_problem(args) -> tuple:
     except (TypeError, ValueError) as exc:
         raise UrnnetError(f"bad numeric option: {exc}")
     sampling = _resolve(args, "sampling", file_cfg, default="with")
-    T0 = _parse_int_list(str(_resolve(args, "t0", file_cfg, default="4")), g.n)
+    T0 = _parse_int_list(_resolve(args, "t0", file_cfg, default="4"), g.n)
     w0_raw = _resolve(args, "w0", file_cfg)
-    W0 = _parse_int_list(str(w0_raw), g.n) if w0_raw is not None else T0 // 2
+    W0 = _parse_int_list(w0_raw, g.n) if w0_raw is not None else T0 // 2
     cfg = ModelConfig.from_code(model, p=p, s=s, C=C, t0=T0, w0=W0, n=g.n,
                                 sampling=sampling, seed=seed)
     return theory.Problem(g, cfg), file_cfg
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+@contextmanager
+def _open_out(path: Optional[str]):
+    """The file at path opened for writing, or stdout when path is empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_text(path: Optional[str], text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _limit_set_json(ls: Optional[theory.LimitSet]):
@@ -234,9 +257,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _csv_rows(fmt: str, *cols) -> str:
+    """fmt (newline-terminated) applied to the rows of whole-column lists."""
+    return "".join(map(fmt.__mod__, zip(*cols)))
+
+
 def cmd_simulate(args) -> int:
     problem, file_cfg = _load_problem(args)
-    cfg, g = problem.cfg, problem.g
+    cfg, n = problem.cfg, problem.g.n
     try:
         steps = int(_resolve(args, "steps", file_cfg, default=1000))
         replicas = int(_resolve(args, "replicas", file_cfg, default=1))
@@ -246,31 +274,32 @@ def cmd_simulate(args) -> int:
     start = time.perf_counter()
     raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas,
                             rng=cfg.seed)
-    lines = ["replica,t,urn,W,T,Z"]
-    for k, t in enumerate(raw.times):
-        for r in range(replicas):
-            for i in range(g.n):
-                lines.append("%d,%d,%d,%d,%d,%.12g"
-                             % (r, t, i, raw.W[k, r, i], raw.T[k, i], raw.Z[k, r, i]))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.stats_out or args.cov_out:
-        mean = raw.Z.mean(axis=1)
-        var = raw.Z.var(axis=1, ddof=1) if replicas > 1 else np.zeros_like(mean)
-        if args.stats_out:
-            rows = ["t,urn,mean,var"]
-            for k, t in enumerate(raw.times):
-                for i in range(g.n):
-                    rows.append("%d,%d,%.12g,%.12g" % (t, i, mean[k, i], var[k, i]))
-            _write_text(args.stats_out, "\n".join(rows) + "\n")
-        if args.cov_out:
-            rows = ["t,urn_i,urn_j,cov"]
-            for k, t in enumerate(raw.times):
-                c = np.cov(raw.Z[k].T, ddof=1) if replicas > 1 else np.zeros((g.n, g.n))
-                c = np.atleast_2d(c)
-                for i in range(g.n):
-                    for j in range(g.n):
-                        rows.append("%d,%d,%d,%.12g" % (t, i, j, c[i, j]))
-            _write_text(args.cov_out, "\n".join(rows) + "\n")
+    times = raw.times.tolist()
+    urns = list(range(n))
+    # One snapshot at a time, so no file's whole text is held in memory.
+    with _open_out(args.out) as fh:
+        fh.write("replica,t,urn,W,T,Z\n")
+        reps, urn_col = np.repeat(np.arange(replicas), n).tolist(), urns * replicas
+        for k, t in enumerate(times):
+            fh.write(_csv_rows("%d,%d,%d,%d,%d,%.12g\n", reps, repeat(t), urn_col,
+                               raw.W[k].ravel().tolist(), raw.T[k].tolist() * replicas,
+                               raw.Z[k].ravel().tolist()))
+    if args.stats_out:
+        with _open_out(args.stats_out) as fh:
+            fh.write("t,urn,mean,var\n")
+            for k, t in enumerate(times):
+                Z = raw.Z[k]
+                var = Z.var(axis=0, ddof=1) if replicas > 1 else np.zeros(n)
+                fh.write(_csv_rows("%d,%d,%.12g,%.12g\n", repeat(t), urns,
+                                   Z.mean(axis=0).tolist(), var.tolist()))
+    if args.cov_out:
+        with _open_out(args.cov_out) as fh:
+            fh.write("t,urn_i,urn_j,cov\n")
+            row_i, col_j = np.repeat(urns, n).tolist(), urns * n
+            for k, t in enumerate(times):
+                c = np.cov(raw.Z[k].T, ddof=1) if replicas > 1 else np.zeros((n, n))
+                fh.write(_csv_rows("%d,%d,%d,%.12g\n", repeat(t), row_i, col_j,
+                                   np.ravel(c).tolist()))
     elapsed = time.perf_counter() - start
     final_mean = raw.Z[-1].mean(axis=0)
     sys.stderr.write("simulated %d replicas x %d steps in %.2fs; final mean Z = %s\n"
@@ -282,7 +311,7 @@ def cmd_verify(args) -> int:
     problem, file_cfg = _load_problem(args)
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = json.load(fh)
+            plan = _json_object(fh.read(), f"plan file {args.plan}")
     else:
         plan = experiments.default_plan()
     for key in ("steps", "replicas", "schedule"):

@@ -7,7 +7,10 @@ out-neighbours, or both. Ball counts are exact 64-bit integers; fractions
 are derived on demand, so trajectories accumulate no floating-point drift.
 Totals are deterministic: T_t(i) = T_0(i) + C*s*omega_i*t.
 
-Replicas are simulated in lock-step as (replicas, n) integer arrays. All
+Replicas are simulated in lock-step as (replicas, n) integer arrays. A step
+reads only the in-neighbour lists: sampling gathers each urn's source by
+flat index, and reinforcement sums chi over each urn's in-neighbours with
+one np.add.reduceat, so it costs O(replicas * (n + edges)). All
 randomness is consumed from a single numpy Generator in a fixed
 (step, urn-block) order, so results are bit-reproducible for a given
 (seed, config, graph, replicas) regardless of the snapshot schedule.
@@ -98,7 +101,7 @@ class ModelConfig:
     @classmethod
     def from_code(cls, code: str, *, p, s, C, t0, w0, n, sampling="with", seed=0):
         """Build from a four-letter model code, broadcasting scalar t0/w0."""
-        code = code.lower()
+        code = str(code).lower()
         if code not in MODEL_CODES:
             raise ConfigError(f"unknown model code {code!r}")
         scheme, neigh = MODEL_CODES[code]
@@ -139,8 +142,10 @@ class EnsembleTrajectories:
 class StepKernel:
     """One problem's tables for the two phases of a step.
 
-    The sampling phase reads the in-neighbour lists; the reinforcement phase
-    adds eta*chi to the urn itself and kappa*chi to each out-neighbour.
+    Both phases read the in-neighbour lists; no n x n array is built. The
+    reinforcement phase adds eta*chi to the urn itself and kappa*chi to each
+    out-neighbour, i.e. each urn gains kappa times the sum of chi over its
+    in-neighbours.
     """
 
     def __init__(self, problem: Problem):
@@ -151,14 +156,6 @@ class StepKernel:
         params = problem.params
         self.eta, self.kappa = params.eta, params.kappa
         self.dT = self.cfg.C * self.cfg.s * params.omega
-
-    @cached_property
-    def A_int(self) -> np.ndarray:
-        """A_int[u, v] = 1 iff urn u reinforces urn v, i.e. u -> v is an edge."""
-        n = len(self.deg)
-        A = np.zeros((n, n), np.int64)
-        A[self.nbr_flat, np.repeat(self.idx, self.deg)] = 1
-        return A
 
     def draw(self, W2, T1, coin, pick, draws):
         """Vectorised sampling phase on a (R, n) state block.
@@ -173,10 +170,10 @@ class StepKernel:
         (exact hypergeometric).
         """
         cfg = self.cfg
-        src = np.where(coin < cfg.p, self.idx[None, :],
-                       self.nbr_flat[self.nbr_off[None, :]
-                                     + (pick * self.deg[None, :]).astype(np.int64)])
-        Wsrc = np.take_along_axis(W2, src, axis=1)
+        R, n = W2.shape
+        src = np.where(coin < cfg.p, self.idx,
+                       self.nbr_flat[self.nbr_off + (pick * self.deg).astype(np.int64)])
+        Wsrc = W2.ravel()[src + n * np.arange(R)[:, None]]
         Tsrc = T1[src]
         if cfg.sampling == "with":
             Y = (draws < (Wsrc / Tsrc)[..., None]).sum(axis=-1, dtype=np.int64)
@@ -193,7 +190,8 @@ class StepKernel:
 
     def reinforce(self, W, chi) -> None:
         """Add one step's white balls to W in place (integer-exact)."""
-        W += self.cfg.C * (self.eta * chi + self.kappa * (chi @ self.A_int))
+        W += self.cfg.C * (self.eta * chi + self.kappa * np.add.reduceat(
+            chi[:, self.nbr_flat], self.nbr_off, axis=1))
 
 
 def draw_batch(problem: Problem, W, T, rng, ndraws: int):

@@ -238,19 +238,23 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
     Criteria share the plan-level (steps, replicas, schedule, seed) budget
     unless they override it; ensembles are cached per distinct budget.
     Failures inside a criterion (inapplicable theory, missing checkpoints)
-    become failed entries rather than exceptions.
+    become failed entries rather than exceptions; a ConfigError (a bad
+    budget, an unknown criterion kind) is a plan error and propagates.
     """
     if not plan.get("criteria"):
         raise ConfigError("plan has no criteria")
     cache = {}
 
     def get_stats(crit):
-        steps = int(crit.get("steps", plan.get("steps", 100_000)))
-        replicas = int(crit.get("replicas", plan.get("replicas", 64)))
+        try:
+            steps = int(crit.get("steps", plan.get("steps", 100_000)))
+            replicas = int(crit.get("replicas", plan.get("replicas", 64)))
+            seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad plan budget: {exc}") from None
         schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
         if isinstance(schedule, list):
             schedule = tuple(schedule)
-        seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
         key = (steps, replicas, repr(schedule), seed)
         if key not in cache:
             cache[key] = ensemble(problem, replicas, steps, schedule=schedule, seed=seed)
@@ -262,6 +266,8 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
         tol = float(crit.get("tolerance", 0.05))
         try:
             entries.append(_evaluate_criterion(kind, crit, tol, problem, get_stats))
+        except ConfigError:
+            raise
         except Exception as exc:  # noqa: BLE001 - surfaced as a failed entry
             entries.append(VerificationEntry(
                 criterion=kind, theoretical=None, empirical=None,

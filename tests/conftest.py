@@ -92,3 +92,16 @@ def random_connected_graph(rng: np.random.Generator, max_n=8):
         edges |= {possible[i] for i in idx}
     text = "\n".join(f"{u} {v}" for u, v in sorted(edges))
     return parse_edge_list(text, directed=False)
+
+
+def random_directed_graph(rng: np.random.Generator, max_n=8):
+    """Random directed graph with every in-degree >= 1: a directed cycle
+    through a random vertex order plus extra arcs."""
+    n = int(rng.integers(2, max_n + 1))
+    order = rng.permutation(n)
+    arcs = {(int(order[i]), int(order[(i + 1) % n])) for i in range(n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        arcs.add((u, v))
+    text = "\n".join(f"{u} {v}" for u, v in sorted(arcs))
+    return parse_edge_list(text, directed=True)

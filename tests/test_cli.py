@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +219,61 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
     assert "zzz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,needle", [
+    ('{"graph": "GRAPH", "model": "ftsr", "p": ', "not valid JSON"),
+    ('{"graph": "GRAPH", "model": 5}', "'5'"),
+    ('{"graph": 1, "model": "ftsr"}', "file path"),
+], ids=["malformed-json", "non-string-model", "non-string-graph"])
+def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(text.replace("GRAPH", c4_file))
+    rc = main(["analyze", "--config", str(cfgfile)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,needle", [
+    ('{"steps": 10, "criteria": [', "not valid JSON"),
+    ('{"steps": -5, "criteria": [{"kind": "convergence"}]}', "steps must be >= 0"),
+    ('{"steps": "many", "criteria": [{"kind": "convergence"}]}', "bad plan budget"),
+    ('{"steps": 10, "criteria": [{"kind": "bogus"}]}', "unknown criterion kind"),
+    ('{"steps": 10, "replicas": 2, "criteria": [{"kind": "rate", "statistic": "bogus",'
+     ' "contrast": [1, -1, 0, 0, 0]}]}', "unknown statistic"),
+], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
+        "unknown-statistic"])
+def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan),
+               "--out", str(out)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"graph": c4_file, "model": "ftsr",
+                                   "t0": [4, 5, 6, 7], "w0": [1, 2, 3, 4]}))
+    assert main(["analyze", "--config", str(cfgfile)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["analyze", "--graph", c4_file, "--model", "ftsr",
+                 "--t0", "4,5,6,7", "--w0", "1,2,3,4"]) == 0
+    from_flags = capsys.readouterr().out
+    assert from_file == from_flags
+    assert json.loads(from_file)["model"]["T0"] == [4, 5, 6, 7]
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # importing scipy.sparse would add to the set-up time of every command
+    code = "import sys, urnnet.cli; sys.exit('scipy.sparse' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 # SHA-256 of `simulate --out` and `--stats-out`. The RNG stream layout is part
 # of the determinism contract, so a change to it must show up here.
 @pytest.mark.parametrize("edges,directed,flags,out_sha,stats_sha", [
@@ -234,7 +292,12 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
       "--steps", "100", "--replicas", "3", "--seed", "11"],
      "bbeb55c9cb38428f2d90758ac30746c2046abc316759f2684ee7e16a9a93471a",
      "a8df9adfbc20e985c31763f559071f043d8edda404e19577b8a2ce15b729dbe4"),
-], ids=["c4-ftsr-with", "grid3x3-ptsnr-without", "fig2-ftnr-directed"])
+    (C5_EDGES, False,
+     ["--model", "ftsnr", "--p", "0.6", "--s", "2", "--t0", "4", "--w0", "2",
+      "--steps", "200", "--replicas", "5", "--seed", "13"],
+     "2bef08f98dc1a0bcbeafed578115347a0989327fa441bdcd8bb449e1d10a7000",
+     "71993090f120200576130ecbe000a7aa42e5db71ef323da057ff18317d91862e"),
+], ids=["c4-ftsr-with", "grid3x3-ptsnr-without", "fig2-ftnr-directed", "c5-ftsnr-with"])
 def test_simulate_stream_layout_pinned(tmp_path, edges, directed, flags, out_sha,
                                        stats_sha, capsys):
     graph = tmp_path / "g.edges"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urnnet.dynamics import (
+    MODEL_CODES,
     StepKernel,
     draw_batch,
     expected_chi,
@@ -11,7 +13,12 @@ from urnnet.dynamics import (
 from urnnet.errors import ConfigError
 from urnnet.theory import Problem
 
-from conftest import in_neighbours_oracle, problem
+from conftest import (
+    in_neighbours_oracle,
+    problem,
+    random_connected_graph,
+    random_directed_graph,
+)
 
 
 def run(P, steps, schedule=None, rng=None):
@@ -234,6 +241,28 @@ def test_reinforce_directed_out_neighbours(fig2):
     chi = np.array([1, 0, 0, 0, 0])  # only urn 0 reinforces: edges 0->1, 0->2
     W, _ = reinforce(P, P.cfg.W0, chi)
     assert (W - P.cfg.W0).tolist() == [0, 1, 1, 0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_reinforce_matches_edge_loop_oracle(seed, directed):
+    rng = np.random.default_rng(seed)
+    g = random_directed_graph(rng) if directed else random_connected_graph(rng)
+    R, C, s = int(rng.integers(1, 5)), int(rng.integers(1, 4)), 3
+    for code in MODEL_CODES:
+        kern = StepKernel(problem(g, code, s=s, C=C, t0=8))
+        chi = rng.integers(0, s + 1, (R, g.n))
+        W = rng.integers(1, 1000, (R, g.n))
+        want = W.copy()
+        for r in range(R):
+            for v in range(g.n):
+                if code[2:] in ("sr", "snr"):  # v reinforces itself
+                    want[r, v] += C * chi[r, v]
+                if code[2:] in ("nr", "snr"):  # each u -> v reinforces v
+                    for u in in_neighbours_oracle(g, v):
+                        want[r, v] += C * chi[r, u]
+        kern.reinforce(W, chi)
+        assert np.array_equal(W, want), code
 
 
 # --- trajectories ---------------------------------------------------------
