@@ -3,7 +3,8 @@
 Exit codes: 0 success (verify: all criteria pass), 1 verification failure,
 2 usage/config error, 3 I/O error. All reports are pure functions of the
 input files and flags; matrices are serialized row-major with 12 significant
-digits.
+digits. The analyze and verify reports go through one JSON writer, _dumps,
+whose output is byte for byte json.dumps(report, indent=2).
 """
 from __future__ import annotations
 
@@ -29,12 +30,48 @@ def sig12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _round12(a: np.ndarray) -> list:
+    """sig12 of every element of a, in row-major order, in one formatting pass."""
+    flat = a.ravel().tolist()
+    return list(map(float, ("%.12g " * len(flat) % tuple(flat)).split()))
+
+
 def _fmt_vector(v) -> list:
-    return [sig12(x) for x in np.asarray(v).ravel()]
+    return _round12(np.asarray(v, dtype=float))
 
 
 def _fmt_matrix(M) -> list:
-    return [[sig12(x) for x in row] for row in np.asarray(M)]
+    M = np.asarray(M, dtype=float)
+    vals, c = _round12(M), M.shape[1]
+    return [vals[i * c:(i + 1) * c] for i in range(len(M))]
+
+
+_NUMBER_TYPES = {int, float, bool}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """Exactly json.dumps(obj, indent=2), with number lists encoded in C.
+
+    Before Python 3.14 an indent makes json fall back to its pure-Python
+    encoder. Containers are walked here instead, and a list of plain
+    numbers goes to the C encoder in one call: no number token contains
+    ", ", so splitting its compact output there yields one item per line.
+    pad is the indentation of the line obj starts on; json escapes newlines
+    inside strings, so any other value's own rendering is re-indented by
+    prefixing pad to its line breaks.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        body = (",\n" + inner).join([json.dumps(k) + ": " + _dumps(v, inner)
+                                      for k, v in obj.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 def _parse_int_list(value, n: int) -> np.ndarray:
@@ -253,7 +290,7 @@ def cmd_analyze(args) -> int:
             "variance_exponent": sig12(dp.variance_exponent),
             "log_correction": dp.log_correction,
         }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out, _dumps(report) + "\n")
     return EXIT_OK
 
 
@@ -333,7 +370,7 @@ def cmd_verify(args) -> int:
             for e in report.entries
         ],
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, _dumps(payload) + "\n")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
 
 

@@ -239,10 +239,15 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
     unless they override it; ensembles are cached per distinct budget.
     Failures inside a criterion (inapplicable theory, missing checkpoints)
     become failed entries rather than exceptions; a ConfigError (a bad
-    budget, an unknown criterion kind) is a plan error and propagates.
+    budget, a malformed criterion, an unknown criterion kind) is a plan
+    error and propagates. Every criterion is checked before any ensemble runs.
     """
-    if not plan.get("criteria"):
+    criteria = plan.get("criteria")
+    if not criteria:
         raise ConfigError("plan has no criteria")
+    if not isinstance(criteria, list):
+        raise ConfigError(f"plan criteria must be a list, got {criteria!r}")
+    tols = [_check_criterion(crit) for crit in criteria]
     cache = {}
 
     def get_stats(crit):
@@ -250,7 +255,7 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
             steps = int(crit.get("steps", plan.get("steps", 100_000)))
             replicas = int(crit.get("replicas", plan.get("replicas", 64)))
             seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad plan budget: {exc}") from None
         schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
         if isinstance(schedule, list):
@@ -261,9 +266,8 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
         return cache[key]
 
     entries = []
-    for crit in plan["criteria"]:
+    for crit, tol in zip(criteria, tols):
         kind = crit["kind"]
-        tol = float(crit.get("tolerance", 0.05))
         try:
             entries.append(_evaluate_criterion(kind, crit, tol, problem, get_stats))
         except ConfigError:
@@ -273,6 +277,21 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
                 criterion=kind, theoretical=None, empirical=None,
                 tolerance=tol, passed=False, note=f"{type(exc).__name__}: {exc}"))
     return VerificationReport(entries=tuple(entries))
+
+
+def _check_criterion(crit) -> float:
+    """The criterion's tolerance. ConfigError unless crit is an object with a
+    string "kind" whose "tolerance" converts to float and "at", when given,
+    to int (the conversions the budget keys get)."""
+    if not isinstance(crit, dict) or not isinstance(crit.get("kind"), str):
+        raise ConfigError(f"criterion must be an object with a string 'kind', got {crit!r}")
+    try:
+        tol = float(crit.get("tolerance", 0.05))
+        if "at" in crit:
+            int(crit["at"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {crit['kind']!r} criterion: {exc}") from None
+    return tol
 
 
 def _evaluate_criterion(kind, crit, tol, problem, get_stats):

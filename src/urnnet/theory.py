@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import ModelConfig
 from .errors import (
@@ -376,6 +375,8 @@ def noise_covariance(problem: Problem) -> np.ndarray:
 
 def sigma_lyapunov(problem: Problem) -> np.ndarray:
     """Stationary covariance from the Lyapunov equation (numerical route)."""
+    import scipy.linalg  # here, so that only this solve pays scipy's import time
+
     S = problem.drift.K + 0.5 * np.eye(problem.g.n)
     if np.max(np.real(np.linalg.eigvals(S))) >= -1e-12:
         raise NotApplicableError("drift is not strictly stable beyond 1/2; no sqrt(t) regime")
@@ -459,9 +460,8 @@ def decay_exponents(sd: SpectralData) -> DecayPrediction:
         raise AssumptionViolatedError("no zero eigenvalue: graph is not bipartite")
     if sd.theta is None:
         raise AssumptionViolatedError("theta undefined")
-    n = len(lam)
-    sums = [lam[i] + lam[j] for i in range(n) for j in range(i, n) if (i, j) != (0, 0)]
-    minsum = min(sums)
+    # every pair i <= j in row-major order; [1:] drops the zero-zero pair
+    minsum = float(np.add.outer(lam, lam)[np.triu_indices(len(lam))][1:].min())
     return DecayPrediction(
         mean_exponent=float(sd.theta),
         variance_exponent=float(min(minsum, 1.0)),

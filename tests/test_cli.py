@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from urnnet.cli import main
+from urnnet.cli import _dumps, _fmt_matrix, _fmt_vector, main, sig12
 
 from conftest import C4_EDGES, C5_EDGES, FIG2_EDGES, K2_EDGES, grid_edges
 
@@ -239,8 +240,15 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     ('{"steps": 10, "criteria": [{"kind": "bogus"}]}', "unknown criterion kind"),
     ('{"steps": 10, "replicas": 2, "criteria": [{"kind": "rate", "statistic": "bogus",'
      ' "contrast": [1, -1, 0, 0, 0]}]}', "unknown statistic"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerance": "tight"}]}',
+     "bad 'convergence' criterion"),
+    ('{"steps": 10, "criteria": [{"tolerance": 0.1}]}', "string 'kind'"),
+    ('{"steps": 10, "criteria": ["convergence"]}', "string 'kind'"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "at": "oops"}]}',
+     "bad 'convergence' criterion"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
-        "unknown-statistic"])
+        "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
+        "non-integer-at"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
@@ -265,13 +273,65 @@ def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):
     assert json.loads(from_file)["model"]["T0"] == [4, 5, 6, 7]
 
 
-def test_cli_import_leaves_scipy_sparse_out():
-    # importing scipy.sparse would add to the set-up time of every command
-    code = "import sys, urnnet.cli; sys.exit('scipy.sparse' in sys.modules)"
+def test_cli_import_leaves_scipy_out():
+    # importing scipy would add to the set-up time of every command; only the
+    # numerical Lyapunov solve loads it
+    code = ("import sys, urnnet, urnnet.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.strip() == ""
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # includes NaN, +-inf, -0.0 and subnormals
+    st.floats(1e12, 1e16), st.floats(-1e16, -1e12),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e15, 1e16, 123456789012.34567]),
+)
+_NUMBERS = st.one_of(_FLOATS, st.integers(), st.booleans())
+_STRINGS = st.one_of(st.text(), st.sampled_from(["a, b", ", ", '", "', '"\\', "é, ü", "1, 2"]))
+_JSON = st.recursive(
+    st.one_of(st.none(), _NUMBERS, _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(_NUMBERS, min_size=1, max_size=6),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example([[], {}, [[]], [{}], {"": []}, {"a": {"b": {}}}])
+@example({"m": [[0.1, -0.0, float("nan")], [float("inf"), -float("inf"), 5e-324]],
+          "s": ["x, y", 1, True, None]})
+@example({"non-string keys": [{1: [1, 2.5], None: {"x": []}, 0.5: "a, b", True: False}]})
+def test_dumps_equals_json_dumps_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (0, 4), (4, 0), (1, 1), (6, 9)])
+def test_fmt_rounding_matches_sig12(shape):
+    rng = np.random.default_rng(sum(shape))
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e15 + 0.5, 0.1 + 0.2]
+    M.flat[:len(special)] = special[:M.size]
+    if M.ndim == 2:
+        assert json.dumps(_fmt_matrix(M)) == json.dumps([[sig12(x) for x in row] for row in M])
+    assert json.dumps(_fmt_vector(M)) == json.dumps([sig12(x) for x in M.ravel()])
+
+
+@pytest.mark.parametrize("edges,flags", [
+    (C4_EDGES, ["--model", "ftsr", "--p", "0"]),
+    (K2_EDGES, ["--model", "ftsr", "--p", "0.5", "--s", "1"]),
+    (FIG2_EDGES, ["--directed", "--model", "ftsr", "--p", "0"]),
+], ids=["c4", "k2", "fig2-directed"])
+def test_analyze_output_is_json_dumps_indent_2(tmp_path, edges, flags, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(edges + "\n")
+    assert main(["analyze", "--graph", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # SHA-256 of `simulate --out` and `--stats-out`. The RNG stream layout is part
