@@ -17,7 +17,7 @@ from .experiments import (
     verify,
 )
 from .graphs import GraphAnalysis, GraphSpec, analyze_graph, load_edge_file, matrices, parse_edge_list
-from .spectral import SpectralData, eigendecompose, nullspace, rank_with_tol
+from .spectral import SpectralData, eigendecompose, nullspace
 from .theory import (
     ClassificationReport,
     DecayPrediction,

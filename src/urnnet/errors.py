@@ -51,6 +51,10 @@ class EigenFailure(UrnnetError):
     """Dense eigensolver did not converge."""
 
 
+class LyapunovFailure(UrnnetError):
+    """The sign iteration for the Lyapunov equation did not converge."""
+
+
 class InconsistentDriftError(UrnnetError):
     """h(z) = 0 admits no solution; the drift assembly is broken."""
 

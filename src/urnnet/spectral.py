@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EigenFailure
 
-__all__ = ["SpectralData", "eigendecompose", "rank_with_tol", "nullspace", "ZERO_EIG_TOL"]
+__all__ = ["SpectralData", "eigendecompose", "nullspace", "ZERO_EIG_TOL"]
 
 ZERO_EIG_TOL = 1e-8
 COND_LIMIT = 1e10
@@ -35,14 +35,6 @@ class SpectralData:
     Pinv: np.ndarray
     diagonalizable: bool
     theta: Optional[float] = None
-
-    @property
-    def has_zero_eigenvalue(self) -> bool:
-        return bool(np.abs(self.eigenvalues[0]) < ZERO_EIG_TOL)
-
-    def reconstruct(self) -> np.ndarray:
-        """P diag(lambda) P^-1; should reproduce I + A D^-1."""
-        return (self.P * self.eigenvalues) @ self.Pinv
 
 
 def eigendecompose(A: np.ndarray, Ddiag: np.ndarray, directed: bool) -> SpectralData:
@@ -101,19 +93,6 @@ def _zero_first_order(eig: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(eig)), key=lambda i: keys[i]))
 
 
-def default_rank_tol(M: np.ndarray) -> float:
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    return 1e-9 * M.shape[0] * max(scale, 1e-300)
-
-
-def rank_with_tol(M: np.ndarray, tol: Optional[float] = None) -> int:
-    """Numerical rank from singular values; deterministic for fixed input."""
-    if tol is None:
-        tol = default_rank_tol(M)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > tol))
-
-
 def nullspace(M: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     """Orthonormal basis of the left null space {x : x M = 0}.
 
@@ -121,7 +100,7 @@ def nullspace(M: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     x satisfy x @ M ~ 0.
     """
     if tol is None:
-        tol = default_rank_tol(M)
+        tol = 1e-9 * M.shape[0] * max(np.max(np.abs(M)) if M.size else 0.0, 1e-300)
     U, sv, _ = np.linalg.svd(M)
     null_mask = np.concatenate([sv <= tol, np.ones(M.shape[0] - len(sv), bool)])
     return U[:, null_mask].T.conj()

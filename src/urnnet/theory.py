@@ -16,9 +16,13 @@ graphs (A D^-1 symmetric) this has explicit closed forms:
     self-reinforcement:       Sigma = (1/4s) [(2p+1) I + 2(1-p) A D^-1]^-1
     neighbour-reinforcement:  Sigma = (1/4s) (A D^-1)^2 [I + 2p A D^-1 + 2(1-p)(A D^-1)^2]^-1
 
-both of which the numerical solver and direct simulation reproduce. In the
+both of which the numerical solver and direct simulation reproduce. Off the
+closed forms, Sigma comes from the Newton sign iteration (Roberts 1980;
+Higham, Functions of Matrices, ch. 5), which needs no eigenvectors. In the
 critical regime (rho = 1/2) the sqrt(t/log t)-scaled covariance is
-(1/4s) U B U^-1 with B selecting the critical eigendirections.
+(1/4s) U diag(B w) U^T, where A D^-1 = U diag(nu) U^T, B selects the critical
+eigendirections and the noise factor w is 1 for self and nu^2 for neighbour
+reinforcement.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .errors import (
     ConfigError,
     EigenFailure,
     InconsistentDriftError,
+    LyapunovFailure,
     NotApplicableError,
 )
 from .graphs import GraphAnalysis, GraphSpec, analyze_graph, in_neighbours, matrices
@@ -57,18 +62,9 @@ __all__ = [
     "decay_exponents",
 ]
 
-THEOREMS = (
-    "friedman_unique",
-    "friedman_bipartite_partial_sync",
-    "polya_regular_sync",
-    "polya_bipartite_two_param",
-    "directed_friedman_unique",
-    "directed_general",
-    "unknown",
-)
-
 _CRITICAL_TOL = 1e-9
 _NEAR_CRITICAL_BAND = 0.05
+_SIGN_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,14 @@ class DriftModel:
     def __call__(self, z) -> np.ndarray:
         return self.b + np.asarray(z) @ self.K
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        return self.K
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of K sorted by real, then imaginary part; computed once."""
+        try:
+            eig = np.linalg.eigvals(self.K)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+        return eig[np.lexsort((eig.imag, eig.real))]
 
 
 @dataclass(frozen=True)
@@ -234,12 +235,7 @@ def drift_model(problem: Problem) -> DriftModel:
 
 def stability(dm: DriftModel):
     """Jacobian spectrum and the stability verdict (real parts <= 1e-9)."""
-    try:
-        eig = np.linalg.eigvals(dm.K)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    eig = eig[np.lexsort((eig.imag, eig.real))]
-    return eig, bool(np.max(eig.real) <= 1e-9)
+    return dm.eigenvalues, bool(np.max(dm.eigenvalues.real) <= 1e-9)
 
 
 def _param_box(particular: np.ndarray, basis: np.ndarray) -> Optional[np.ndarray]:
@@ -374,13 +370,28 @@ def noise_covariance(problem: Problem) -> np.ndarray:
 
 
 def sigma_lyapunov(problem: Problem) -> np.ndarray:
-    """Stationary covariance from the Lyapunov equation (numerical route)."""
-    import scipy.linalg  # here, so that only this solve pays scipy's import time
+    """Stationary covariance from the Lyapunov equation (numerical route).
 
-    S = problem.drift.K + 0.5 * np.eye(problem.g.n)
-    if np.max(np.real(np.linalg.eigvals(S))) >= -1e-12:
+    Newton sign iteration on (A, Q) = (S^T, G), S = K + I/2, with Frobenius
+    scaling c: A <- (A/c + c A^-1)/2 -> -I, Q <- (Q/c + c A^-1 Q A^-T)/2 -> 2 Sigma.
+    """
+    if np.max(problem.drift.eigenvalues.real) + 0.5 >= -1e-12:
         raise NotApplicableError("drift is not strictly stable beyond 1/2; no sqrt(t) regime")
-    return scipy.linalg.solve_continuous_lyapunov(S.T, -noise_covariance(problem))
+    A = problem.drift.K.T + 0.5 * np.eye(problem.g.n)
+    Q = noise_covariance(problem)
+    for _ in range(_SIGN_MAX_ITER):
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise LyapunovFailure(f"sign iteration hit a singular matrix: {exc}") from exc
+        c = np.sqrt(np.linalg.norm(A) / np.linalg.norm(Ainv))
+        A_next = 0.5 * (A / c + c * Ainv)
+        Q = 0.5 * (Q / c + c * (Ainv @ Q @ Ainv.T))
+        step = np.linalg.norm(A_next - A, 1) / np.linalg.norm(A_next, 1)
+        A = A_next
+        if step <= 1e-8:  # the error after this step is ~ step^2
+            return 0.25 * (Q + Q.T)
+    raise LyapunovFailure(f"sign iteration did not converge in {_SIGN_MAX_ITER} steps")
 
 
 def fluctuation(problem: Problem) -> FluctuationReport:
@@ -402,8 +413,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     n = g.n
     ADi = problem.A / problem.deg[None, :]
     symmetric = not g.directed and np.allclose(ADi, ADi.T, atol=1e-12)
-    rho_eigs = np.linalg.eigvals(-problem.drift.K)
-    rho = float(np.min(rho_eigs.real))
+    rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)
 
     if rho > 0.5 + _CRITICAL_TOL:
@@ -432,6 +442,8 @@ def fluctuation(problem: Problem) -> FluctuationReport:
             else:
                 shifted = 1 + 2 * cfg.p * nu + 2 * (1 - cfg.p) * nu * nu
             B = (np.abs(shifted) < 1e-9).astype(float)
+            if cfg.neighbourhood == "neighbour":
+                B = B * nu * nu  # the noise enters through (A D^-1)^2
             tilde = (U * B[None, :]) @ U.T / (4.0 * cfg.s)
             closed = True
         return FluctuationReport(

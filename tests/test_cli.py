@@ -273,16 +273,33 @@ def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):
     assert json.loads(from_file)["model"]["T0"] == [4, 5, 6, 7]
 
 
-def test_cli_import_leaves_scipy_out():
-    # importing scipy would add to the set-up time of every command; only the
-    # numerical Lyapunov solve loads it
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is a test dependency only: neither the import nor an analyze that
+    # runs the numerical Lyapunov solve (grid3x3 ftsnr has no closed form)
+    # may load it
+    graph, out = tmp_path / "grid3x3.edges", tmp_path / "analyze.json"
+    graph.write_text(grid_edges(3, 3) + "\n")
     code = ("import sys, urnnet, urnnet.cli; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"rc = urnnet.cli.main(['analyze', '--graph', {str(graph)!r}, '--model', 'ftsnr', "
+            f"'--out', {str(out)!r}]); "
+            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0 and run.stdout.strip() == ""
+    assert run.returncode == 0 and run.stdout.strip() == "0", run.stdout + run.stderr
+    fl = json.loads(out.read_text())["fluctuation"]
+    assert fl["regime"] == "sqrt_t" and fl["closed_form"] is False and fl["Sigma"]
+
+
+def test_analyze_reports_unconverged_lyapunov_solve_as_unavailable(tmp_path, capsys, monkeypatch):
+    from urnnet import theory
+    monkeypatch.setattr(theory, "_SIGN_MAX_ITER", 1)
+    graph = tmp_path / "grid3x3.edges"
+    graph.write_text(grid_edges(3, 3) + "\n")
+    rc, rep = run_json(["analyze", "--graph", str(graph), "--model", "ftsnr"], capsys)
+    assert rc == 0
+    assert rep["fluctuation"] == {"unavailable": "sign iteration did not converge in 1 steps"}
 
 
 _FLOATS = st.one_of(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import ModelConfig, expected_chi
 from urnnet.errors import AssumptionViolatedError, NotApplicableError
+from urnnet.graphs import parse_edge_list
 from urnnet.theory import (
     Problem,
     classify,
@@ -16,9 +17,12 @@ from urnnet.theory import (
     stability,
 )
 
-from conftest import problem, random_connected_graph
+from conftest import problem, random_connected_graph, random_directed_graph
 
 ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
+# directed graph whose Jacobian is defective for every Friedman model at
+# p in (0, 1): its eigenvector matrix has condition number ~1e15 or worse
+DEFECTIVE_EDGES = "0 1\n0 2\n1 3\n2 0"
 
 
 # --- drift assembly -------------------------------------------------------
@@ -288,6 +292,32 @@ def test_lyapunov_matches_closed_forms(k2, c4, c5):
     assert checked >= 12
 
 
+_GRAPHS = st.tuples(st.integers(0, 10_000), st.booleans()).map(
+    lambda a: (random_directed_graph if a[1] else random_connected_graph)(
+        np.random.default_rng(a[0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GRAPHS, st.sampled_from(["ftsr", "ftnr", "ftsnr"]),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]))
+@example(parse_edge_list(DEFECTIVE_EDGES, directed=True), "ftsr", 0.5)
+@example(parse_edge_list(DEFECTIVE_EDGES, directed=True), "ftnr", 0.5)
+@example(parse_edge_list(DEFECTIVE_EDGES, directed=True), "ftsnr", 0.5)
+def test_lyapunov_residual_random_graphs(g, code, p):
+    P = problem(g, code, p)
+    try:
+        rep = fluctuation(P)
+    except NotApplicableError:
+        return
+    if rep.regime != "sqrt_t":
+        return
+    Sigma = sigma_lyapunov(P)
+    S = P.drift.K + 0.5 * np.eye(g.n)
+    G = noise_covariance(P)
+    assert np.linalg.norm(S.T @ Sigma + Sigma @ S + G) <= 1e-12 * np.linalg.norm(G)
+    assert np.max(np.abs(Sigma - Sigma.T)) <= 1e-12
+
+
 def test_sigma_psd_symmetric(c4, c5, grid33):
     for g in (c5, grid33):
         for code in ("ftsr", "ftnr", "ftsnr"):
@@ -303,6 +333,26 @@ def test_fluctuation_critical_regime(c4):
     assert rep.regime == "sqrt_t_over_log_t"
     v = np.array([1, -1, 1, -1]) / 2
     assert np.allclose(rep.SigmaTilde, np.outer(v, v) / 8, atol=1e-12)
+
+
+def test_critical_sigma_tilde_ftnr_carries_nu_squared(c5):
+    # C5 ftnr, s = 2, at the p where rho = 1 + p nu + (1-p) nu^2 = 1/2 for
+    # nu = cos(4 pi/5): the sqrt(t/log t) variance on that eigenplane of
+    # A D^-1 is nu^2/(4s), the noise factor included
+    nu = np.cos(4 * np.pi / 5)
+    P = problem(c5, "ftnr", (1 + 2 * nu * nu) / (2 * nu * nu - 2 * nu), s=2)
+    rep = fluctuation(P)
+    assert rep.regime == "sqrt_t_over_log_t" and rep.closed_form
+    want = nu * nu / 8
+    assert np.allclose(np.linalg.eigvalsh(rep.SigmaTilde), [0, 0, 0, want, want], atol=1e-12)
+    # the exact log-slope of t Var along a critical direction u
+    u = np.cos(4 * np.pi * np.arange(5) / 5)
+    u /= np.linalg.norm(u)
+    t1, t2 = 2_000, 20_000
+    v1 = u @ moment_recursion_cov(P, t1)[1] @ u
+    v2 = u @ moment_recursion_cov(P, t2)[1] @ u
+    slope = (t2 * v2 - t1 * v1) / np.log(t2 / t1)
+    assert abs(slope / want - 1) < 0.01, slope
 
 
 def test_fluctuation_subcritical_reports_not_applicable(c4):
