@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (verify: all criteria pass), 1 verification failure,
 2 usage/config error, 3 I/O error. All reports are pure functions of the
-input files and flags; matrices are serialized row-major with 12 significant
-digits. The analyze and verify reports go through one JSON writer, _dumps,
-whose output is byte for byte json.dumps(report, indent=2).
+input files and flags. The analyze and verify reports go through one JSON
+writer, _dumps: byte for byte json.dumps(report, indent=2), with arrays as
+row-major lists at 12 significant digits, each distinct value formatted once.
 """
 from __future__ import annotations
 
@@ -30,27 +30,27 @@ def sig12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _round12(a: np.ndarray) -> list:
-    """sig12 of every element of a, in row-major order, in one formatting pass."""
-    flat = a.ravel().tolist()
-    return list(map(float, ("%.12g " * len(flat) % tuple(flat)).split()))
+def _dumps_array(a: np.ndarray, pad: str) -> str:
+    """_dumps of a (ndim >= 1) as nested lists of sig12 values. Each
+    distinct value is formatted once: distinct by bit pattern first, since
+    -0.0 == 0.0 but the two print differently, then distinct after rounding."""
+    bits, inv = np.unique(np.asarray(a, float).ravel().view(np.int64), return_inverse=True)
+    rounded = ("%.12g " * len(bits) % tuple(bits.view(float).tolist())).split()
+    distinct = list(dict.fromkeys(rounded))
+    token = dict(zip(distinct, json.dumps(list(map(float, distinct)))[1:-1].split(", ")))
 
-
-def _fmt_vector(v) -> list:
-    return _round12(np.asarray(v, dtype=float))
-
-
-def _fmt_matrix(M) -> list:
-    M = np.asarray(M, dtype=float)
-    vals, c = _round12(M), M.shape[1]
-    return [vals[i * c:(i + 1) * c] for i in range(len(M))]
+    def nest(tokens, pad):
+        inner = pad + "  "
+        items = tokens.tolist() if tokens.ndim == 1 else [nest(row, inner) for row in tokens]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
+    return nest(np.array([token[r] for r in rounded], dtype=object)[inv].reshape(a.shape), pad)
 
 
 _NUMBER_TYPES = {int, float, bool}
 
 
 def _dumps(obj, pad: str = "") -> str:
-    """Exactly json.dumps(obj, indent=2), with number lists encoded in C.
+    """Exactly json.dumps(obj, indent=2), numpy arrays as lists of sig12 values.
 
     Before Python 3.14 an indent makes json fall back to its pure-Python
     encoder. Containers are walked here instead, and a list of plain
@@ -60,6 +60,8 @@ def _dumps(obj, pad: str = "") -> str:
     inside strings, so any other value's own rendering is re-indented by
     prefixing pad to its line breaks.
     """
+    if isinstance(obj, np.ndarray):
+        return _dumps_array(obj, pad)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _NUMBER_TYPES:
@@ -220,9 +222,9 @@ def _limit_set_json(ls: Optional[theory.LimitSet]):
         return None
     return {
         "kind": ls.kind,
-        "particular": _fmt_vector(ls.particular),
-        "basis": _fmt_matrix(ls.basis) if ls.dimension else [],
-        "parameter_box": _fmt_matrix(ls.box) if ls.box is not None else None,
+        "particular": ls.particular,
+        "basis": ls.basis,
+        "parameter_box": ls.box,
     }
 
 
@@ -238,7 +240,7 @@ def cmd_analyze(args) -> int:
             "n": g.n,
             "directed": g.directed,
             "edges": [list(e) for e in g.edges],
-            "degrees": _fmt_vector(problem.deg),
+            "degrees": problem.deg,
             "bipartition": [sorted(part) for part in ga.bipartition] if ga.bipartition else None,
             "regular_degree": ga.regular_degree,
             "scc_order": [sorted(c) for c in ga.scc_order] if ga.scc_order else None,
@@ -249,16 +251,16 @@ def cmd_analyze(args) -> int:
             "sampling": cfg.sampling, "T0": cfg.T0.tolist(), "W0": cfg.W0.tolist(),
         },
         "spectrum": {
-            "eigenvalues_re": _fmt_vector(np.real(sd.eigenvalues)),
-            "eigenvalues_im": _fmt_vector(np.imag(sd.eigenvalues)),
+            "eigenvalues_re": np.real(sd.eigenvalues),
+            "eigenvalues_im": np.imag(sd.eigenvalues),
             "diagonalizable": sd.diagonalizable,
             "theta": sig12(sd.theta) if sd.theta is not None else None,
         },
         "drift": {
-            "b": _fmt_vector(dm.b),
-            "K": _fmt_matrix(dm.K),
-            "jacobian_eigenvalues_re": _fmt_vector(np.real(jac_eigs)),
-            "jacobian_eigenvalues_im": _fmt_vector(np.imag(jac_eigs)),
+            "b": dm.b,
+            "K": dm.K,
+            "jacobian_eigenvalues_re": np.real(jac_eigs),
+            "jacobian_eigenvalues_im": np.imag(jac_eigs),
             "stable": stable,
         },
         "classification": {
@@ -275,9 +277,9 @@ def cmd_analyze(args) -> int:
                 "regime": rep.regime,
                 "closed_form": rep.closed_form,
                 "near_critical": rep.near_critical,
-                "Gamma": _fmt_matrix(rep.Gamma),
-                "Sigma": _fmt_matrix(rep.Sigma) if rep.Sigma is not None else None,
-                "SigmaTilde": _fmt_matrix(rep.SigmaTilde) if rep.SigmaTilde is not None else None,
+                "Gamma": rep.Gamma,
+                "Sigma": rep.Sigma,
+                "SigmaTilde": rep.SigmaTilde,
             }
         except UrnnetError as exc:
             report["fluctuation"] = {"unavailable": str(exc)}

@@ -248,7 +248,10 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
             ts.add(int(t))
             t *= r
         return np.array(sorted(ts))
-    ts = sorted(set(int(t) for t in schedule) | {0, steps})
+    try:
+        ts = sorted(set(int(t) for t in schedule) | {0, steps})
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"bad schedule {schedule!r}: expected a list of times") from None
     if ts[0] < 0 or ts[-1] > steps:
         raise ConfigError("schedule times must lie in [0, steps]")
     return np.array(ts)
@@ -271,6 +274,8 @@ def simulate_ensemble(problem: Problem, steps: int,
     cfg = problem.cfg
     if rng is None:
         rng = cfg.seed
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise ConfigError(f"seed must be >= 0, got {rng}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
 
     n = problem.g.n

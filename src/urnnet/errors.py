@@ -75,5 +75,9 @@ class NonPositiveStatisticError(UrnnetError):
     """Log-log regression input hit zero or went negative."""
 
 
+class NotACheckpointError(UrnnetError):
+    """A statistic was requested at a time that is not on the snapshot schedule."""
+
+
 class TooFewReplicasError(UrnnetError):
     """Covariance estimation needs at least two replicas."""

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import simulate_ensemble
+from .dynamics import parse_schedule, simulate_ensemble
 from .errors import (
     ConfigError,
     NoBipartitionError,
     NonPositiveStatisticError,
+    NotACheckpointError,
     NotApplicableError,
     TooFewReplicasError,
+    UrnnetError,
 )
 from .theory import LimitSet, Problem
 
@@ -53,7 +56,8 @@ class EnsembleStats:
     def index_of(self, t: int) -> int:
         hits = np.flatnonzero(self.times == t)
         if not hits.size:
-            raise KeyError(f"t={t} is not a checkpoint (have {self.times.tolist()})")
+            raise NotACheckpointError(
+                f"t={t} is not a checkpoint (have {self.times.tolist()})")
         return int(hits[0])
 
 
@@ -237,77 +241,130 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
 
     Criteria share the plan-level (steps, replicas, schedule, seed) budget
     unless they override it; ensembles are cached per distinct budget.
-    Failures inside a criterion (inapplicable theory, missing checkpoints)
-    become failed entries rather than exceptions; a ConfigError (a bad
-    budget, a malformed criterion, an unknown criterion kind) is a plan
-    error and propagates. Every criterion is checked before any ensemble runs.
+    An UrnnetError inside a criterion (inapplicable theory, a missing
+    checkpoint) becomes a failed entry whose note names the error type; a
+    ConfigError (a bad budget, a malformed criterion, an unknown criterion
+    kind) is a plan error and propagates, and so does any other exception.
+    Every criterion and its budget are checked before any ensemble runs.
     """
     criteria = plan.get("criteria")
     if not criteria:
         raise ConfigError("plan has no criteria")
     if not isinstance(criteria, list):
         raise ConfigError(f"plan criteria must be a list, got {criteria!r}")
-    tols = [_check_criterion(crit) for crit in criteria]
+    tols = [_check_criterion(crit, problem.g.n) for crit in criteria]
+    budgets = [_budget(crit, plan, problem.cfg.seed) for crit in criteria]
     cache = {}
 
-    def get_stats(crit):
-        try:
-            steps = int(crit.get("steps", plan.get("steps", 100_000)))
-            replicas = int(crit.get("replicas", plan.get("replicas", 64)))
-            seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad plan budget: {exc}") from None
-        schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
-        if isinstance(schedule, list):
-            schedule = tuple(schedule)
+    def get_stats(budget):
+        steps, replicas, schedule, seed = budget
         key = (steps, replicas, repr(schedule), seed)
         if key not in cache:
             cache[key] = ensemble(problem, replicas, steps, schedule=schedule, seed=seed)
         return cache[key]
 
     entries = []
-    for crit, tol in zip(criteria, tols):
+    for crit, tol, budget in zip(criteria, tols, budgets):
         kind = crit["kind"]
         try:
-            entries.append(_evaluate_criterion(kind, crit, tol, problem, get_stats))
+            entries.append(_evaluate_criterion(kind, crit, tol, problem,
+                                               partial(get_stats, budget)))
         except ConfigError:
             raise
-        except Exception as exc:  # noqa: BLE001 - surfaced as a failed entry
+        except UrnnetError as exc:
             entries.append(VerificationEntry(
                 criterion=kind, theoretical=None, empirical=None,
                 tolerance=tol, passed=False, note=f"{type(exc).__name__}: {exc}"))
     return VerificationReport(entries=tuple(entries))
 
 
-def _check_criterion(crit) -> float:
+def _budget(crit: dict, plan: dict, seed: int) -> tuple:
+    """(steps, replicas, schedule, seed) of a criterion: its own keys, else
+    the plan's. ConfigError when one is malformed or out of range."""
+    try:
+        steps = int(crit.get("steps", plan.get("steps", 100_000)))
+        replicas = int(crit.get("replicas", plan.get("replicas", 64)))
+        seed = int(crit.get("seed", plan.get("seed", seed)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad plan budget: {exc}") from None
+    for name, value, least in (("steps", steps, 0), ("replicas", replicas, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}")
+    schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
+    if isinstance(schedule, list):
+        schedule = tuple(schedule)
+    parse_schedule(schedule, steps)
+    return steps, replicas, schedule, seed
+
+
+_KINDS = ("convergence", "sync", "manifold", "rate", "fluctuation")
+
+
+def _check_criterion(crit, n: int) -> float:
     """The criterion's tolerance. ConfigError unless crit is an object with a
-    string "kind" whose "tolerance" converts to float and "at", when given,
-    to int (the conversions the budget keys get)."""
+    known string "kind" whose "tolerance" converts to float and "at", when
+    given, to int (the conversions the budget keys get), and whose kind's
+    own keys hold what its evaluation reads (see _key_fault)."""
     if not isinstance(crit, dict) or not isinstance(crit.get("kind"), str):
         raise ConfigError(f"criterion must be an object with a string 'kind', got {crit!r}")
+    kind = crit["kind"]
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown criterion kind {kind!r}")
     try:
         tol = float(crit.get("tolerance", 0.05))
         if "at" in crit:
             int(crit["at"])
+        fault = _key_fault(kind, crit, n)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {crit['kind']!r} criterion: {exc}") from None
+        fault = str(exc)
+    if fault:
+        raise ConfigError(f"bad {kind!r} criterion: {fault}")
     return tol
+
+
+def _key_fault(kind: str, crit: dict, n: int) -> Optional[str]:
+    """What is wrong with the kind-specific keys of crit on n urns, or None.
+    The conversions the evaluation makes are made here too, and may raise."""
+    if kind == "convergence":
+        if np.shape(np.asarray(crit.get("target", 0.5), float)) not in ((), (n,)):
+            return f"'target' must be a number or {n} numbers"
+    if kind == "sync":
+        if crit.get("scope", "global") not in ("global", "partition"):
+            return f"'scope' must be 'global' or 'partition', got {crit['scope']!r}"
+        if crit.get("cross_sum_tolerance") is not None:
+            float(crit["cross_sum_tolerance"])
+            float(crit.get("cross_sum_fraction", 0.95))
+    if kind == "rate":
+        Q = np.asarray(crit.get("contrast"), float)
+        if Q.ndim not in (1, 2) or len(Q) != n:
+            return f"'contrast' must be a vector or a matrix with {n} rows"
+        w = crit.get("window", (0, 0))
+        if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(int(x) == x for x in w)):
+            return f"'window' must be two integers, got {w!r}"
+        if crit.get("statistic", "mean-gap") not in ("mean-gap", "variance"):
+            return f"unknown statistic {crit['statistic']!r}"
+        if crit.get("target") is not None:
+            float(crit["target"])
+    if kind == "fluctuation" and "sigma" in crit:
+        if np.shape(np.asarray(crit["sigma"], float)) != (n, n):
+            return f"'sigma' must be an {n} x {n} matrix"
+    return None
 
 
 def _evaluate_criterion(kind, crit, tol, problem, get_stats):
     if kind == "convergence":
-        es = get_stats(crit)
+        es = get_stats()
         t = int(crit.get("at", es.times[-1]))
         target = crit.get("target", 0.5)
         k = es.index_of(t)
-        sup = np.abs(es.Z[k] - target).max(axis=1).mean()
+        sup = np.abs(es.Z[k] - np.asarray(target, float)).max(axis=1).mean()
         return VerificationEntry(
             criterion=f"convergence@t={t}", theoretical=target,
             empirical=float(sup), tolerance=tol, passed=bool(sup <= tol),
             note="mean sup-norm distance to target")
 
     if kind == "sync":
-        es = get_stats(crit)
+        es = get_stats()
         t = int(crit.get("at", es.times[-1]))
         scope = crit.get("scope", "partition" if problem.analysis.bipartition else "global")
         sm = sync_metrics(problem, es, t, require_partition=(scope == "partition"))
@@ -321,7 +378,7 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         note = "mean within-partition spread"
         cross_tol = crit.get("cross_sum_tolerance")
         if cross_tol is not None:
-            frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
+            frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= float(cross_tol)))
             need = float(crit.get("cross_sum_fraction", 0.95))
             ok = ok and frac >= need
             note += f"; cross-sum within {cross_tol} for {frac:.0%} of replicas"
@@ -333,7 +390,7 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         cls = problem.classification
         if cls.predicted_limit is None:
             raise NotApplicableError(f"no predicted limit ({cls.applicable_theorem})")
-        es = get_stats(crit)
+        es = get_stats()
         t = int(crit.get("at", es.times[-1]))
         dist = manifold_distance(es, cls.predicted_limit, t)
         emp = float(dist.mean())
@@ -343,7 +400,7 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
             note=f"mean distance to {cls.predicted_limit.kind} limit set")
 
     if kind == "rate":
-        es = get_stats(crit)
+        es = get_stats()
         window = tuple(crit.get("window", (100, int(es.times[-1]))))
         Q = np.asarray(crit["contrast"], float)
         fit = rate_fit(es, crit.get("statistic", "mean-gap"), window, Q)
@@ -365,7 +422,7 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         rep = problem.fluctuation
         if rep.regime != "sqrt_t" or rep.Sigma is None:
             raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
-        es = get_stats(crit)
+        es = get_stats()
         t = int(crit.get("at", es.times[-1]))
         emp = fluctuation_estimate(es, t)
         ref = np.asarray(crit["sigma"], float) if "sigma" in crit else rep.Sigma
@@ -375,4 +432,4 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
             empirical=emp.tolist(), tolerance=tol, passed=bool(err <= tol),
             note=f"relative Frobenius error {err:.3f}")
 
-    raise ConfigError(f"unknown criterion kind {kind!r}")
+    raise AssertionError(kind)

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from urnnet.cli import _dumps, _fmt_matrix, _fmt_vector, main, sig12
+from urnnet.cli import _dumps, main, sig12
 
 from conftest import C4_EDGES, C5_EDGES, FIG2_EDGES, K2_EDGES, grid_edges
 
@@ -204,6 +205,7 @@ def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
     ("--schedule", "1,x,3"),
     ("--t0", "abc"),
     ("--w0", "abc"),
+    ("--seed", "-1"),
 ])
 def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
@@ -246,9 +248,27 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     ('{"steps": 10, "criteria": ["convergence"]}', "string 'kind'"),
     ('{"steps": 10, "criteria": [{"kind": "convergence", "at": "oops"}]}',
      "bad 'convergence' criterion"),
+    ('{"steps": 10, "criteria": [{"kind": "rate"}]}', "'contrast' must be"),
+    ('{"steps": 10, "criteria": [{"kind": "rate", "contrast": [1, -1]}]}',
+     "'contrast' must be"),
+    ('{"steps": 10, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "window": [100]}]}', "'window' must be two integers"),
+    ('{"steps": 10, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "window": [100, 2.5]}]}', "'window' must be two integers"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "bogus"}]}', "'scope' must be"),
+    ('{"steps": 10, "criteria": [{"kind": "fluctuation", "sigma": [[1, 0], [0, 1]]}]}',
+     "'sigma' must be an 5 x 5 matrix"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "target": [0.5, 0.5]}]}',
+     "'target' must be"),
+    ('{"steps": 10, "schedule": [1, "x"], "criteria": [{"kind": "convergence"}]}',
+     "bad schedule"),
+    ('{"steps": 10, "seed": -1, "criteria": [{"kind": "convergence"}]}',
+     "seed must be >= 0"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
-        "non-integer-at"])
+        "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
+        "rate-fractional-window", "sync-unknown-scope", "fluctuation-sigma-shape",
+        "convergence-target-length", "non-integer-schedule", "negative-seed"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
@@ -258,6 +278,17 @@ def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     assert rc == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_at_off_schedule_is_a_failed_entry(c5_file, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"steps": 100, "replicas": 2, "schedule": [50],
+                                "criteria": [{"kind": "convergence", "at": 7}]}))
+    rc = main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan)])
+    assert rc == 1
+    (entry,) = json.loads(capsys.readouterr().out)["criteria"]
+    assert entry["pass"] is False
+    assert entry["note"] == "NotACheckpointError: t=7 is not a checkpoint (have [0, 50, 100])"
 
 
 def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):
@@ -327,6 +358,17 @@ def test_dumps_equals_json_dumps_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
+def _sig12_lists(obj):
+    """obj with every float array replaced by the nested lists of its sig12 values."""
+    if isinstance(obj, np.ndarray):
+        return [_sig12_lists(row) for row in obj] if obj.ndim > 1 else list(map(sig12, obj))
+    if isinstance(obj, dict):
+        return {k: _sig12_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_sig12_lists(x) for x in obj]
+    return obj
+
+
 @pytest.mark.parametrize("shape", [(0,), (7,), (0, 4), (4, 0), (1, 1), (6, 9)])
 def test_fmt_rounding_matches_sig12(shape):
     rng = np.random.default_rng(sum(shape))
@@ -334,15 +376,39 @@ def test_fmt_rounding_matches_sig12(shape):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e15 + 0.5, 0.1 + 0.2]
     M.flat[:len(special)] = special[:M.size]
     if M.ndim == 2:
-        assert json.dumps(_fmt_matrix(M)) == json.dumps([[sig12(x) for x in row] for row in M])
-    assert json.dumps(_fmt_vector(M)) == json.dumps([sig12(x) for x in M.ravel()])
+        assert _dumps(M) == json.dumps([[sig12(x) for x in row] for row in M], indent=2)
+    assert _dumps(M.ravel()) == json.dumps([sig12(x) for x in M.ravel()], indent=2)
+
+
+# A few values repeated across an array, so that both de-duplications (by bit
+# pattern, then after rounding) merge entries: -0.0 next to 0.0, and 1/3 next
+# to a value that rounds to the same 12 digits.
+_REPEATED = st.sampled_from([0.0, -0.0, 1 / 3, 1 / 3 + 1e-14, 0.25, -2.5e-7, float("nan")])
+_FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                       elements=st.one_of(_FLOATS, _REPEATED))
+_NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                          0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.one_of(_FLOAT_ARRAYS, st.none(), _NUMBERS, _STRINGS),
+                    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                            st.dictionaries(_STRINGS, inner, max_size=4)),
+                    max_leaves=8))
+@example({"zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]), "x": [np.array([-0.0, 1.0, 0.0])]})
+@example([{"nan": _NAN_PAYLOADS.reshape(2, 2)}, _NAN_PAYLOADS])
+@example({"same12": np.array([1 / 3, 1 / 3 + 1e-14, 0.1 + 0.2, 0.3]),
+          "deep": [[{"a": np.ones((2, 1))}]]})
+def test_dumps_writes_float_arrays_as_sig12_lists(value):
+    assert _dumps(value) == json.dumps(_sig12_lists(value), indent=2)
 
 
 @pytest.mark.parametrize("edges,flags", [
     (C4_EDGES, ["--model", "ftsr", "--p", "0"]),
     (K2_EDGES, ["--model", "ftsr", "--p", "0.5", "--s", "1"]),
     (FIG2_EDGES, ["--directed", "--model", "ftsr", "--p", "0"]),
-], ids=["c4", "k2", "fig2-directed"])
+    (grid_edges(5, 5), ["--model", "ftsnr"]),
+], ids=["c4", "k2", "fig2-directed", "grid5x5-ftsnr"])
 def test_analyze_output_is_json_dumps_indent_2(tmp_path, edges, flags, capsys):
     path = tmp_path / "g.edges"
     path.write_text(edges + "\n")

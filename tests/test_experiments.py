@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from urnnet import experiments
 from urnnet.dynamics import simulate_ensemble
 from urnnet.errors import (
+    ConfigError,
     NoBipartitionError,
     NonPositiveStatisticError,
     TooFewReplicasError,
@@ -264,3 +266,28 @@ def test_verify_surfaces_errors_as_failures(c5):
     report = verify(P, plan)
     assert not report.overall_pass
     assert "NotApplicableError" in report.entries[0].note
+
+
+def test_verify_lets_programming_errors_propagate(c5, monkeypatch):
+    # only an UrnnetError becomes a failed entry; a bug must not pass for a
+    # statistical failure
+    def broken(*args):
+        raise TypeError("bug")
+    monkeypatch.setattr(experiments, "manifold_distance", broken)
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    plan = {"steps": 50, "replicas": 4,
+            "criteria": [{"kind": "manifold", "tolerance": 0.1}]}
+    with pytest.raises(TypeError, match="bug"):
+        verify(P, plan)
+
+
+def test_verify_checks_every_budget_before_any_ensemble_runs(c5, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the plan was checked")
+    monkeypatch.setattr(experiments, "ensemble", no_run)
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    for bad in ({"steps": "many"}, {"replicas": 0}, {"seed": -1}, {"schedule": [1, "x"]}):
+        plan = {"steps": 50, "replicas": 4,
+                "criteria": [{"kind": "convergence"}, {"kind": "manifold", **bad}]}
+        with pytest.raises(ConfigError):
+            verify(P, plan)
