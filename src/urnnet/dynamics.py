@@ -7,13 +7,19 @@ out-neighbours, or both. Ball counts are exact 64-bit integers; fractions
 are derived on demand, so trajectories accumulate no floating-point drift.
 Totals are deterministic: T_t(i) = T_0(i) + C*s*omega_i*t.
 
-Replicas are simulated in lock-step as (replicas, n) integer arrays. A step
-reads only the in-neighbour lists: sampling gathers each urn's source by
-flat index, and reinforcement sums chi over each urn's in-neighbours with
-one np.add.reduceat, so it costs O(replicas * (n + edges)). All
-randomness is consumed from a single numpy Generator in a fixed
-(step, urn-block) order, so results are bit-reproducible for a given
-(seed, config, graph, replicas) regardless of the snapshot schedule.
+Replicas are simulated in lock-step as (replicas, n) integer arrays, and a
+step reads only the in-neighbour lists, so it costs O(replicas * (n +
+edges)). The urn each urn samples from does not depend on the state, so
+its flat index into the (replicas, n) state is computed ahead, a chunk of
+steps at a time. Sampling with replacement gathers the sources' fractions
+W/T in one take and counts each urn's s successes with one integer matrix
+product, exact for any s; without replacement, drawn balls are removed
+between s sequential comparisons. Reinforcement sums chi over each urn's
+reinforcement list (itself and/or its in-neighbours) with one gather and
+one np.add.reduceat. All randomness is consumed from a single
+numpy Generator in a fixed (step, urn-block) order, so results are
+bit-reproducible for a given (seed, config, graph, replicas) regardless of
+the snapshot schedule.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ __all__ = [
     "EnsembleTrajectories",
     "StepKernel",
     "MODEL_CODES",
-    "draw_batch",
     "expected_chi",
     "simulate_ensemble",
     "parse_schedule",
@@ -55,6 +60,10 @@ MODEL_CODES = {
 # block stays small); the cap depends only on (replicas, n, s), never on the
 # schedule, which keeps the stream layout reproducible.
 _BLOCK_BUDGET = 4_000_000
+# Sample sources are state-independent and are computed from a block's
+# uniforms for about this many (replica, urn) pairs at a time, which keeps
+# the index array small next to the block.
+_SOURCE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -142,70 +151,70 @@ class EnsembleTrajectories:
 class StepKernel:
     """One problem's tables for the two phases of a step.
 
-    Both phases read the in-neighbour lists; no n x n array is built. The
-    reinforcement phase adds eta*chi to the urn itself and kappa*chi to each
-    out-neighbour, i.e. each urn gains kappa times the sum of chi over its
-    in-neighbours.
+    Both phases read the in-neighbour lists; no n x n array is built. Each
+    urn gains C times the sum of chi over its reinforcement list: itself
+    when eta, then its in-neighbours when kappa (eta, kappa are 0 or 1).
     """
 
     def __init__(self, problem: Problem):
-        self.cfg = problem.cfg
+        cfg = self.cfg = problem.cfg
         self.nbr_flat, self.deg = problem.in_neighbours
         self.nbr_off = np.cumsum(self.deg) - self.deg
         self.idx = np.arange(len(self.deg))
         params = problem.params
-        self.eta, self.kappa = params.eta, params.kappa
-        self.dT = self.cfg.C * self.cfg.s * params.omega
+        self.dT = cfg.C * cfg.s * params.omega
+        self.rflat = self.roff = None
+        if params.kappa and params.eta:
+            self.rflat = np.insert(self.nbr_flat, self.nbr_off, self.idx)
+            self.roff = self.nbr_off + self.idx
+        elif params.kappa:
+            self.rflat, self.roff = self.nbr_flat, self.nbr_off
+        # a sample's count is one product of its 0/1 comparisons with ones
+        # of the smallest type that holds s, so the sum is exact
+        self.ones = np.ones(cfg.s, np.min_scalar_type(cfg.s))
 
-    def draw(self, W2, T1, coin, pick, draws):
-        """Vectorised sampling phase on a (R, n) state block.
+    def sources(self, coin, pick):
+        """Flat indices into the (R, n) state of the urn each urn samples
+        from, for a (..., R, n) block of self/neighbour coins and picks.
 
-        Returns (src, Y, chi): the urn each sample came from, its white balls,
-        and the reinforcing count (Y for Polya, s - Y for Friedman).
+        coin < p samples the urn itself, otherwise pick selects one of its
+        in-neighbours uniformly; replica r's indices are offset by r*n.
+        """
+        R, n = coin.shape[-2:]
+        src = np.where(coin < self.cfg.p, self.idx,
+                       self.nbr_flat[self.nbr_off + (pick * self.deg).astype(np.int64)])
+        src += np.arange(0, R * n, n)[:, None]
+        return src
 
-        coin decides self vs neighbour, pick selects the in-neighbour, and the
-        s uniforms in draws realise the sample as sequential Bernoulli
+    def draw(self, W, T, src, draws):
+        """Sampling phase on a (R, n) state: each urn's Y white balls among
+        its s draws from the source src (flat, see sources).
+
+        The s uniforms in draws realise the sample as sequential Bernoulli
         comparisons: with replacement the urn composition is held fixed,
         without replacement drawn balls are removed between comparisons
         (exact hypergeometric).
         """
-        cfg = self.cfg
-        R, n = W2.shape
-        src = np.where(coin < cfg.p, self.idx,
-                       self.nbr_flat[self.nbr_off + (pick * self.deg).astype(np.int64)])
-        Wsrc = W2.ravel()[src + n * np.arange(R)[:, None]]
-        Tsrc = T1[src]
-        if cfg.sampling == "with":
-            Y = (draws < (Wsrc / Tsrc)[..., None]).sum(axis=-1, dtype=np.int64)
-        else:
-            w_rem = Wsrc.astype(np.float64)
-            t_rem = Tsrc.astype(np.float64)
-            Y = np.zeros(W2.shape, np.int64)
-            for k in range(cfg.s):
-                take = draws[..., k] < (w_rem / t_rem)
-                Y += take
-                w_rem -= take
-                t_rem -= 1.0
-        return src, Y, (Y if cfg.scheme == "polya" else cfg.s - Y)
+        if self.cfg.sampling == "with":
+            q = (W / T).take(src)
+            return ((draws < q[..., None]).view(np.uint8) @ self.ones).astype(np.int64)
+        w_src = W.take(src)
+        w_rem = w_src.astype(np.float64)
+        t_rem = T.take(src % len(T)).astype(np.float64)
+        for k in range(self.cfg.s):
+            w_rem -= draws[..., k] < (w_rem / t_rem)
+            t_rem -= 1.0
+        return w_src - w_rem.astype(np.int64)
+
+    def chi(self, Y):
+        """The reinforcing count: Y for Polya, s - Y for Friedman."""
+        return Y if self.cfg.scheme == "polya" else self.cfg.s - Y
 
     def reinforce(self, W, chi) -> None:
         """Add one step's white balls to W in place (integer-exact)."""
-        W += self.cfg.C * (self.eta * chi + self.kappa * np.add.reduceat(
-            chi[:, self.nbr_flat], self.nbr_off, axis=1))
-
-
-def draw_batch(problem: Problem, W, T, rng, ndraws: int):
-    """ndraws independent sampling phases from one fixed state (W, T).
-
-    Returns (source, Y, chi), each of shape (ndraws, n). Used for Monte
-    Carlo checks of the conditional reinforcement mean.
-    """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    n = problem.g.n
-    coin = rng.random((ndraws, n))
-    pick = rng.random((ndraws, n))
-    draws = rng.random((ndraws, n, problem.cfg.s))
-    return StepKernel(problem).draw(np.broadcast_to(W, (ndraws, n)), T, coin, pick, draws)
+        if self.rflat is not None:
+            chi = np.add.reduceat(chi[:, self.rflat], self.roff, axis=1)
+        W += self.cfg.C * chi
 
 
 def expected_chi(problem: Problem, W, T) -> np.ndarray:
@@ -299,6 +308,7 @@ def simulate_ensemble(problem: Problem, steps: int,
         snapshot(0)
 
     block = max(1, min(128, _BLOCK_BUDGET // max(1, replicas * n * (2 + cfg.s))))
+    chunk = max(1, _SOURCE_CHUNK // (replicas * n))
     t = 0
     while t < steps:
         b = min(block, steps - t)
@@ -306,8 +316,9 @@ def simulate_ensemble(problem: Problem, steps: int,
         pick = rng.random((b, replicas, n))
         draws = rng.random((b, replicas, n, cfg.s))
         for j in range(b):
-            _, _, chi = kern.draw(W, T, coin[j], pick[j], draws[j])
-            kern.reinforce(W, chi)
+            if j % chunk == 0:
+                src = kern.sources(coin[j:j + chunk], pick[j:j + chunk])
+            kern.reinforce(W, kern.chi(kern.draw(W, T, src[j % chunk], draws[j])))
             T = T + kern.dT
             t += 1
             if t in snap_at:

@@ -291,25 +291,36 @@ def _budget(crit: dict, plan: dict, seed: int) -> tuple:
         if value < least:
             raise ConfigError(f"{name} must be >= {least}")
     schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
-    if isinstance(schedule, list):
-        schedule = tuple(schedule)
     parse_schedule(schedule, steps)
     return steps, replicas, schedule, seed
 
 
-_KINDS = ("convergence", "sync", "manifold", "rate", "fluctuation")
+# The keys every criterion may carry, then each kind's own.
+_COMMON_KEYS = {"kind", "tolerance", "at", "steps", "replicas", "schedule", "seed"}
+_KINDS = {
+    "convergence": {"target"},
+    "sync": {"scope", "cross_sum_tolerance", "cross_sum_fraction"},
+    "manifold": set(),
+    "rate": {"contrast", "window", "statistic", "target"},
+    "fluctuation": {"sigma"},
+}
 
 
 def _check_criterion(crit, n: int) -> float:
     """The criterion's tolerance. ConfigError unless crit is an object with a
-    known string "kind" whose "tolerance" converts to float and "at", when
-    given, to int (the conversions the budget keys get), and whose kind's
-    own keys hold what its evaluation reads (see _key_fault)."""
+    known string "kind" and only the common keys and its kind's own, whose
+    "tolerance" converts to float and "at", when given, to int (the
+    conversions the budget keys get), and whose kind's own keys hold what
+    its evaluation reads (see _key_fault)."""
     if not isinstance(crit, dict) or not isinstance(crit.get("kind"), str):
         raise ConfigError(f"criterion must be an object with a string 'kind', got {crit!r}")
     kind = crit["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"unknown criterion kind {kind!r}")
+    unknown = [key for key in crit if key not in _COMMON_KEYS and key not in _KINDS[kind]]
+    if unknown:
+        raise ConfigError(f"bad {kind!r} criterion: unknown key(s) "
+                          + ", ".join(repr(key) for key in unknown))
     try:
         tol = float(crit.get("tolerance", 0.05))
         if "at" in crit:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urnnet.dynamics import ModelConfig
+from urnnet.dynamics import _BLOCK_BUDGET, ModelConfig, StepKernel, parse_schedule
 from urnnet.graphs import parse_edge_list
 from urnnet.theory import Problem
 
@@ -105,3 +105,60 @@ def random_directed_graph(rng: np.random.Generator, max_n=8):
         arcs.add((u, v))
     text = "\n".join(f"{u} {v}" for u, v in sorted(arcs))
     return parse_edge_list(text, directed=True)
+
+
+def draw_batch(problem, W, T, rng, ndraws: int):
+    """ndraws independent sampling phases from one fixed state (W, T)
+    through the step kernel. Returns (source, Y, chi), each (ndraws, n)."""
+    rng = np.random.default_rng(rng)
+    n = problem.g.n
+    coin = rng.random((ndraws, n))
+    pick = rng.random((ndraws, n))
+    draws = rng.random((ndraws, n, problem.cfg.s))
+    kern = StepKernel(problem)
+    src = kern.sources(coin, pick)
+    Y = kern.draw(np.broadcast_to(W, (ndraws, n)), T, src, draws)
+    return src % n, Y, kern.chi(Y)
+
+
+def reference_simulate(problem, steps, schedule, replicas, seed):
+    """(K, R, n) W snapshots of simulate_ensemble's process, by plain per-step
+    arithmetic: the source drawn every step, separate W and T gathers, a
+    sum(axis=-1) count and separate self and neighbour reinforcement terms.
+    It consumes the random stream in simulate_ensemble's block layout."""
+    cfg, n, R = problem.cfg, problem.g.n, replicas
+    eta, kappa, omega = problem.params
+    nbr_flat, deg = problem.in_neighbours
+    nbr_off = np.cumsum(deg) - deg
+    rng = np.random.default_rng(seed)
+    times = parse_schedule(schedule, steps)
+    W, T = np.tile(cfg.W0, (R, 1)), cfg.T0.copy()
+    snaps = {0: W.copy()}
+    block = max(1, min(128, _BLOCK_BUDGET // max(1, R * n * (2 + cfg.s))))
+    t = 0
+    while t < steps:
+        b = min(block, steps - t)
+        coin = rng.random((b, R, n))
+        pick = rng.random((b, R, n))
+        draws = rng.random((b, R, n, cfg.s))
+        for j in range(b):
+            src = np.where(coin[j] < cfg.p, np.arange(n),
+                           nbr_flat[nbr_off + (pick[j] * deg).astype(np.int64)])
+            Wsrc = W.ravel()[src + n * np.arange(R)[:, None]]
+            Tsrc = T[src]
+            if cfg.sampling == "with":
+                Y = (draws[j] < (Wsrc / Tsrc)[..., None]).sum(axis=-1, dtype=np.int64)
+            else:
+                w_rem, t_rem = Wsrc.astype(float), Tsrc.astype(float)
+                Y = np.zeros((R, n), np.int64)
+                for k in range(cfg.s):
+                    take = draws[j][..., k] < w_rem / t_rem
+                    Y += take
+                    w_rem -= take
+                    t_rem -= 1.0
+            chi = Y if cfg.scheme == "polya" else cfg.s - Y
+            W += cfg.C * (eta * chi + kappa * np.add.reduceat(chi[:, nbr_flat], nbr_off, axis=1))
+            T = T + cfg.C * cfg.s * omega
+            t += 1
+            snaps[t] = W.copy()
+    return np.stack([snaps[int(t)] for t in times])

@@ -21,7 +21,7 @@ Two checks are expected to fail and are kept as stated:
 import numpy as np
 import pytest
 
-from urnnet.dynamics import ModelConfig, draw_batch, expected_chi
+from urnnet.dynamics import ModelConfig, expected_chi
 from urnnet.experiments import (
     ensemble,
     fluctuation_estimate,
@@ -40,6 +40,7 @@ from conftest import (
     FIG2_EDGES,
     K2_EDGES,
     P3_EDGES,
+    draw_batch,
     grid_edges,
     problem,
     random_connected_graph,

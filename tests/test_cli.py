@@ -264,11 +264,16 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "bad schedule"),
     ('{"steps": 10, "seed": -1, "criteria": [{"kind": "convergence"}]}',
      "seed must be >= 0"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerence": 1e-9}]}',
+     "unknown key(s) 'tolerence'"),
+    ('{"steps": 10, "schedule": ["geometric", 1.5], "criteria": [{"kind": "convergence"}]}',
+     "bad schedule"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
         "rate-fractional-window", "sync-unknown-scope", "fluctuation-sigma-shape",
-        "convergence-target-length", "non-integer-schedule", "negative-seed"])
+        "convergence-target-length", "non-integer-schedule", "negative-seed",
+        "misspelt-key", "list-geometric-schedule"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)

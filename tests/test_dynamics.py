@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import (
     MODEL_CODES,
     StepKernel,
-    draw_batch,
     expected_chi,
     parse_schedule,
     simulate_ensemble,
@@ -14,10 +13,12 @@ from urnnet.errors import ConfigError
 from urnnet.theory import Problem
 
 from conftest import (
+    draw_batch,
     in_neighbours_oracle,
     problem,
     random_connected_graph,
     random_directed_graph,
+    reference_simulate,
 )
 
 
@@ -320,6 +321,27 @@ def test_step_size_diagnostic(c4):
     assert np.all(sq - half < 1e-5)  # square-sum tail is negligible
     ratio = gain[1:] * t[1:, None]
     assert np.all(np.abs(ratio[-1] - 1.0) < 0.01)  # gain ~ 1/t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(sorted(MODEL_CODES)),
+       st.sampled_from(["with", "without"]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2, 16, 300]), st.integers(1, 160), st.floats(0.0, 1.0))
+@example(7, False, "ftsnr", "with", 2, 300, 19, 0.4)
+@example(8, True, "ptnr", "without", 3, 16, 160, 0.6)
+def test_simulate_matches_reference_kernel(seed, directed, code, sampling, C, s, R, p):
+    # 150 steps cross the 128-step uniform block and, once R*n > 64, a
+    # source chunk; s = 300 needs a uint16 count
+    if s == 300:
+        if sampling == "without":
+            s = 16
+        R = 1 + R % 20
+    rng = np.random.default_rng(seed)
+    g = random_directed_graph(rng) if directed else random_connected_graph(rng)
+    t0 = rng.integers(s + 1, s + 30, g.n)
+    P = problem(g, code, p=p, s=s, C=C, t0=t0, w0=rng.integers(1, t0), sampling=sampling)
+    got = simulate_ensemble(P, 150, schedule="all", replicas=R, rng=seed).W
+    assert got.tobytes() == reference_simulate(P, 150, "all", R, seed).tobytes()
 
 
 def test_ensemble_replicas_independent_at_t0(c4):

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -291,3 +295,12 @@ def test_verify_checks_every_budget_before_any_ensemble_runs(c5, monkeypatch):
                 "criteria": [{"kind": "convergence"}, {"kind": "manifold", **bad}]}
         with pytest.raises(ConfigError):
             verify(P, plan)
+
+
+def test_readme_plan_and_default_plan_pass_the_plan_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme_plan = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    for plan in (readme_plan, experiments.default_plan()):
+        for crit in plan["criteria"]:
+            experiments._check_criterion(crit, 4)
+            experiments._budget(crit, plan, 0)
