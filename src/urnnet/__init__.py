@@ -5,11 +5,9 @@ model matrices, closed-form limit/fluctuation predictions, and replicated
 Monte Carlo verification.
 """
 
-from .dynamics import ModelConfig, expected_chi, simulate_ensemble
+from .dynamics import EnsembleTrajectories, ModelConfig, simulate_ensemble
 from .experiments import (
-    EnsembleStats,
     VerificationReport,
-    ensemble,
     fluctuation_estimate,
     manifold_distance,
     rate_fit,

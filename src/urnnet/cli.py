@@ -303,7 +303,7 @@ def _csv_rows(fmt: str, *cols) -> str:
 
 def cmd_simulate(args) -> int:
     problem, file_cfg = _load_problem(args)
-    cfg, n = problem.cfg, problem.g.n
+    n = problem.g.n
     try:
         steps = int(_resolve(args, "steps", file_cfg, default=1000))
         replicas = int(_resolve(args, "replicas", file_cfg, default=1))
@@ -311,8 +311,7 @@ def cmd_simulate(args) -> int:
         raise UrnnetError(f"bad numeric option: {exc}")
     schedule = _resolve(args, "schedule", file_cfg, default="geometric(1.2)")
     start = time.perf_counter()
-    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas,
-                            rng=cfg.seed)
+    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas)
     times = raw.times.tolist()
     urns = list(range(n))
     # One snapshot at a time, so no file's whole text is held in memory.

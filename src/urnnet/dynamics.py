@@ -5,7 +5,8 @@ with probability p, otherwise from a uniformly chosen in-neighbour, and the
 drawn colour counts trigger reinforcement of the urn itself, its
 out-neighbours, or both. Ball counts are exact 64-bit integers; fractions
 are derived on demand, so trajectories accumulate no floating-point drift.
-Totals are deterministic: T_t(i) = T_0(i) + C*s*omega_i*t.
+Totals are deterministic: T_t(i) = T_0(i) + C*s*omega_i*t, and a run whose
+totals would leave the int64 range is rejected before it starts.
 
 Replicas are simulated in lock-step as (replicas, n) integer arrays, and a
 step reads only the in-neighbour lists, so it costs O(replicas * (n +
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NotACheckpointError
 
 if TYPE_CHECKING:
     from .theory import Problem
@@ -39,7 +40,7 @@ __all__ = [
     "EnsembleTrajectories",
     "StepKernel",
     "MODEL_CODES",
-    "expected_chi",
+    "check_totals",
     "simulate_ensemble",
     "parse_schedule",
 ]
@@ -64,6 +65,7 @@ _BLOCK_BUDGET = 4_000_000
 # uniforms for about this many (replica, urn) pairs at a time, which keeps
 # the index array small next to the block.
 _SOURCE_CHUNK = 8192
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,14 @@ class EnsembleTrajectories:
         """Colour fractions W / T as one (K, R, n) array."""
         return self.W / self.T[:, None, :]
 
+    def index_of(self, t: int) -> int:
+        """Position of checkpoint t in times; NotACheckpointError if absent."""
+        hits = np.flatnonzero(self.times == t)
+        if not hits.size:
+            raise NotACheckpointError(
+                f"t={t} is not a checkpoint (have {self.times.tolist()})")
+        return int(hits[0])
+
 
 class StepKernel:
     """One problem's tables for the two phases of a step.
@@ -217,16 +227,6 @@ class StepKernel:
         W += self.cfg.C * chi
 
 
-def expected_chi(problem: Problem, W, T) -> np.ndarray:
-    """Conditional mean of chi given the state; same for both sampling modes."""
-    cfg = problem.cfg
-    Z = W / T
-    mix = cfg.p * Z + (1.0 - cfg.p) * (Z @ (problem.A / problem.deg[None, :]))
-    if cfg.scheme == "polya":
-        return cfg.s * mix
-    return cfg.s * (1.0 - mix)
-
-
 def parse_schedule(schedule, steps: int) -> np.ndarray:
     """Snapshot times: 'all', 'geometric(r)' / ('geometric', r), or a list.
 
@@ -266,26 +266,41 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
     return np.array(ts)
 
 
+def check_totals(problem: Problem, steps: int) -> None:
+    """ConfigError unless the totals of `steps` steps fit in int64.
+
+    Totals grow by C*s*omega_i per step and W <= T, so the bound
+    max(T0) + C*s*max(omega)*steps, and the per-step increment itself, cover
+    every ball count; both are computed in Python integers.
+    """
+    cfg = problem.cfg
+    inc = cfg.C * cfg.s * int(problem.params.omega.max())
+    top = max(int(cfg.T0.max()) + inc * steps, inc)
+    if top > _INT64_MAX:
+        raise ConfigError(f"ball counts overflow int64 within {steps} steps: "
+                          f"totals reach {top} > {_INT64_MAX}")
+
+
 def simulate_ensemble(problem: Problem, steps: int,
                       schedule=None, replicas: int = 1,
-                      rng: Union[None, int, np.random.Generator] = None,
-                      ) -> EnsembleTrajectories:
+                      seed: Optional[int] = None) -> EnsembleTrajectories:
     """Run `replicas` independent copies of the process in lock-step.
 
     Every replica starts from (W0, T0) and owns an independent slice of the
-    random stream at each step. Snapshots of (W, T) are taken at the
-    scheduled times.
+    random stream at each step; seed defaults to the config's. Snapshots of
+    (W, T) are taken at the scheduled times.
     """
     if steps < 0:
         raise ConfigError("steps must be >= 0")
     if replicas < 1:
         raise ConfigError("need at least one replica")
     cfg = problem.cfg
-    if rng is None:
-        rng = cfg.seed
-    if isinstance(rng, (int, np.integer)) and rng < 0:
-        raise ConfigError(f"seed must be >= 0, got {rng}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    if seed is None:
+        seed = cfg.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_totals(problem, steps)
+    rng = np.random.default_rng(seed)
 
     n = problem.g.n
     kern = StepKernel(problem)

@@ -1,10 +1,11 @@
-"""Replicated Monte Carlo campaigns and statistical verification.
+"""Checkpoint statistics of replicated ensembles, and statistical verification.
 
-An ensemble is a set of replicas advanced in lock-step from the same initial
-composition; all cross-replica statistics (means, covariances, spreads,
-log-log rate fits, scaled-fluctuation covariances) are computed at snapshot
-checkpoints. verify() evaluates a plan of tolerance criteria against theory
-predictions and reports per-criterion pass/fail.
+An ensemble is simulate_ensemble's set of replicas advanced in lock-step
+from the same initial composition. Every statistic here is a plain function
+of the colour fractions Z: an (R, n) snapshot at one checkpoint (spreads,
+manifold distances, scaled-fluctuation covariances), or the (K, R, n) stack
+for log-log rate fits. verify() evaluates a plan of tolerance criteria
+against theory predictions and reports per-criterion pass/fail.
 """
 from __future__ import annotations
 
@@ -15,12 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import parse_schedule, simulate_ensemble
+from .dynamics import EnsembleTrajectories, check_totals, parse_schedule, simulate_ensemble
 from .errors import (
     ConfigError,
     NoBipartitionError,
     NonPositiveStatisticError,
-    NotACheckpointError,
     NotApplicableError,
     TooFewReplicasError,
     UrnnetError,
@@ -28,12 +28,10 @@ from .errors import (
 from .theory import LimitSet, Problem
 
 __all__ = [
-    "EnsembleStats",
     "SyncMetrics",
     "RateFit",
     "VerificationEntry",
     "VerificationReport",
-    "ensemble",
     "sync_metrics",
     "manifold_distance",
     "rate_fit",
@@ -44,42 +42,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EnsembleStats:
-    """Checkpointed cross-replica means (plus raw snapshots)."""
-
-    times: np.ndarray          # (K,)
-    mean: np.ndarray           # (K, n)
-    Z: np.ndarray              # (K, R, n) per-replica snapshots
-    replicas: int
-    seed: int
-
-    def index_of(self, t: int) -> int:
-        hits = np.flatnonzero(self.times == t)
-        if not hits.size:
-            raise NotACheckpointError(
-                f"t={t} is not a checkpoint (have {self.times.tolist()})")
-        return int(hits[0])
-
-
-def ensemble(problem: Problem, replicas: int, steps: int,
-             schedule=None, seed: Optional[int] = None) -> EnsembleStats:
-    """Run replicas and aggregate; deterministic in (seed, replicas, schedule)."""
-    if seed is None:
-        seed = problem.cfg.seed
-    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas, rng=seed)
-    return EnsembleStats(times=raw.times, mean=raw.Z.mean(axis=1), Z=raw.Z,
-                         replicas=replicas, seed=int(seed))
-
-
-@dataclass(frozen=True)
 class SyncMetrics:
-    """Spread and degree-weighted average diagnostics at one checkpoint.
+    """Spread and degree-weighted average diagnostics of one snapshot.
 
     Weighted averages use the paper-free identity d_v Zv + d_w Zw = d Zbar
     per replica, which holds by construction and is asserted in tests.
     """
 
-    t: int
     zbar: np.ndarray                      # (R,) degree-weighted global mean
     global_spread: np.ndarray             # (R,) max_i |Z_i - zbar|
     zbar_v: Optional[np.ndarray] = None   # (R,) degree-weighted mean on V
@@ -89,11 +58,9 @@ class SyncMetrics:
     cross_sum: Optional[np.ndarray] = None  # (R,) zbar_v + zbar_w
 
 
-def sync_metrics(problem: Problem, es: EnsembleStats, t: int,
+def sync_metrics(problem: Problem, Z: np.ndarray,
                  require_partition: bool = False) -> SyncMetrics:
-    """Per-replica synchronization metrics at checkpoint t."""
-    k = es.index_of(t)
-    Z = es.Z[k]
+    """Per-replica synchronization metrics of an (R, n) snapshot Z."""
     deg, ga = problem.deg, problem.analysis
     dbar = deg.sum()
     zbar = Z @ deg / dbar
@@ -101,7 +68,7 @@ def sync_metrics(problem: Problem, es: EnsembleStats, t: int,
     if ga.bipartition is None:
         if require_partition:
             raise NoBipartitionError("graph admits no bipartition")
-        return SyncMetrics(t=t, zbar=zbar, global_spread=global_spread)
+        return SyncMetrics(zbar=zbar, global_spread=global_spread)
     V, W = ga.bipartition
     vi = sorted(V)
     wi = sorted(W)
@@ -110,7 +77,7 @@ def sync_metrics(problem: Problem, es: EnsembleStats, t: int,
     zv = Z[:, vi] @ deg[vi] / dv
     zw = Z[:, wi] @ deg[wi] / dw
     return SyncMetrics(
-        t=t, zbar=zbar, global_spread=global_spread,
+        zbar=zbar, global_spread=global_spread,
         zbar_v=zv, zbar_w=zw,
         within_v=np.abs(Z[:, vi] - zv[:, None]).max(axis=1),
         within_w=np.abs(Z[:, wi] - zw[:, None]).max(axis=1),
@@ -118,10 +85,9 @@ def sync_metrics(problem: Problem, es: EnsembleStats, t: int,
     )
 
 
-def manifold_distance(es: EnsembleStats, ls: LimitSet, t: int) -> np.ndarray:
-    """Per-replica Euclidean distance to the limit set (box-clipped projection)."""
-    k = es.index_of(t)
-    Z = es.Z[k]
+def manifold_distance(Z: np.ndarray, ls: LimitSet) -> np.ndarray:
+    """Per-replica Euclidean distance of an (R, n) snapshot Z to the limit
+    set (box-clipped projection)."""
     diff = Z - ls.particular[None, :]
     if ls.dimension == 0:
         return np.linalg.norm(diff, axis=1)
@@ -136,14 +102,13 @@ def manifold_distance(es: EnsembleStats, ls: LimitSet, t: int) -> np.ndarray:
 class RateFit:
     slope: float
     stderr: float
-    times: np.ndarray
-    values: np.ndarray
-    dropped: int
+    times: np.ndarray  # the checkpoints fitted
 
 
-def rate_fit(es: EnsembleStats, statistic: str, window, Q) -> RateFit:
+def rate_fit(times: np.ndarray, Z: np.ndarray, statistic: str, window, Q) -> RateFit:
     """Least-squares slope of log(statistic) against log(t).
 
+    Z is the (K, R, n) stack of snapshots at the K checkpoints times.
     statistic 'mean-gap' uses |mean over replicas of Z_t Q| (vector Q gives a
     scalar contrast; a matrix uses the Euclidean norm of the mean vector);
     'variance' uses the ensemble variance of Z_t Q. Checkpoints where the
@@ -153,13 +118,13 @@ def rate_fit(es: EnsembleStats, statistic: str, window, Q) -> RateFit:
     """
     if statistic not in ("mean-gap", "variance"):
         raise ConfigError(f"unknown statistic {statistic!r}")
-    lo, hi = window if window is not None else (100, int(es.times[-1]))
-    mask = (es.times >= lo) & (es.times <= hi) & (es.times > 0)
-    ts = es.times[mask]
+    lo, hi = window if window is not None else (100, int(times[-1]))
+    mask = (times >= lo) & (times <= hi) & (times > 0)
+    ts = times[mask]
     Q = np.asarray(Q, float)
     vals = []
     for k in np.flatnonzero(mask):
-        phi = es.Z[k] @ Q  # (R,) or (R, m)
+        phi = Z[k] @ Q  # (R,) or (R, m)
         if statistic == "mean-gap":
             m = phi.mean(axis=0)
             vals.append(float(np.abs(m)) if np.ndim(m) == 0 else float(np.linalg.norm(m)))
@@ -168,7 +133,6 @@ def rate_fit(es: EnsembleStats, statistic: str, window, Q) -> RateFit:
             vals.append(float(v) if np.ndim(v) == 0 else float(np.sum(v)))
     vals = np.asarray(vals)
     keep = vals > 0.0
-    dropped = int(np.sum(~keep))
     ts, vals = ts[keep], vals[keep]
     if len(ts) < 2:
         raise NonPositiveStatisticError(
@@ -183,18 +147,17 @@ def rate_fit(es: EnsembleStats, statistic: str, window, Q) -> RateFit:
         stderr = math.sqrt(sigma2 / float(np.sum((x - x.mean()) ** 2)))
     else:
         stderr = float("nan")
-    return RateFit(slope=float(slope), stderr=stderr, times=ts, values=vals,
-                   dropped=dropped)
+    return RateFit(slope=float(slope), stderr=stderr, times=ts)
 
 
-def fluctuation_estimate(es: EnsembleStats, t: int, center=0.5) -> np.ndarray:
-    """Sample covariance across replicas of sqrt(t) (Z_t - center)."""
-    if es.replicas < 2:
+def fluctuation_estimate(Z: np.ndarray, t: int, center=0.5) -> np.ndarray:
+    """Sample covariance across replicas of sqrt(t) (Z_t - center), for the
+    (R, n) snapshot Z taken at time t."""
+    if len(Z) < 2:
         raise TooFewReplicasError("need at least 2 replicas for a covariance")
-    k = es.index_of(t)
-    X = math.sqrt(t) * (es.Z[k] - center)
+    X = math.sqrt(t) * (Z - center)
     Xc = X - X.mean(axis=0)
-    return Xc.T @ Xc / (es.replicas - 1)
+    return Xc.T @ Xc / (len(Z) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +216,15 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
     if not isinstance(criteria, list):
         raise ConfigError(f"plan criteria must be a list, got {criteria!r}")
     tols = [_check_criterion(crit, problem.g.n) for crit in criteria]
-    budgets = [_budget(crit, plan, problem.cfg.seed) for crit in criteria]
+    budgets = [_budget(crit, plan, problem) for crit in criteria]
     cache = {}
 
     def get_stats(budget):
         steps, replicas, schedule, seed = budget
         key = (steps, replicas, repr(schedule), seed)
         if key not in cache:
-            cache[key] = ensemble(problem, replicas, steps, schedule=schedule, seed=seed)
+            cache[key] = simulate_ensemble(problem, steps, schedule=schedule,
+                                           replicas=replicas, seed=seed)
         return cache[key]
 
     entries = []
@@ -278,18 +242,20 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
     return VerificationReport(entries=tuple(entries))
 
 
-def _budget(crit: dict, plan: dict, seed: int) -> tuple:
+def _budget(crit: dict, plan: dict, problem: Problem) -> tuple:
     """(steps, replicas, schedule, seed) of a criterion: its own keys, else
-    the plan's. ConfigError when one is malformed or out of range."""
+    the plan's, else the problem's seed. ConfigError when one is malformed
+    or out of range, or when the ball counts would overflow."""
     try:
         steps = int(crit.get("steps", plan.get("steps", 100_000)))
         replicas = int(crit.get("replicas", plan.get("replicas", 64)))
-        seed = int(crit.get("seed", plan.get("seed", seed)))
+        seed = int(crit.get("seed", plan.get("seed", problem.cfg.seed)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad plan budget: {exc}") from None
     for name, value, least in (("steps", steps, 0), ("replicas", replicas, 1), ("seed", seed, 0)):
         if value < least:
             raise ConfigError(f"{name} must be >= {least}")
+    check_totals(problem, steps)
     schedule = crit.get("schedule", plan.get("schedule", "geometric(1.2)"))
     parse_schedule(schedule, steps)
     return steps, replicas, schedule, seed
@@ -362,23 +328,27 @@ def _key_fault(kind: str, crit: dict, n: int) -> Optional[str]:
     return None
 
 
+def _snapshot(crit: dict, es: EnsembleTrajectories) -> tuple:
+    """(t, Z_t): the criterion's "at", else the last checkpoint, and the
+    (R, n) snapshot there. NotACheckpointError when t is off the schedule."""
+    t = int(crit.get("at", es.times[-1]))
+    return t, es.Z[es.index_of(t)]
+
+
 def _evaluate_criterion(kind, crit, tol, problem, get_stats):
     if kind == "convergence":
-        es = get_stats()
-        t = int(crit.get("at", es.times[-1]))
+        t, Z = _snapshot(crit, get_stats())
         target = crit.get("target", 0.5)
-        k = es.index_of(t)
-        sup = np.abs(es.Z[k] - np.asarray(target, float)).max(axis=1).mean()
+        sup = np.abs(Z - np.asarray(target, float)).max(axis=1).mean()
         return VerificationEntry(
             criterion=f"convergence@t={t}", theoretical=target,
             empirical=float(sup), tolerance=tol, passed=bool(sup <= tol),
             note="mean sup-norm distance to target")
 
     if kind == "sync":
-        es = get_stats()
-        t = int(crit.get("at", es.times[-1]))
+        t, Z = _snapshot(crit, get_stats())
         scope = crit.get("scope", "partition" if problem.analysis.bipartition else "global")
-        sm = sync_metrics(problem, es, t, require_partition=(scope == "partition"))
+        sm = sync_metrics(problem, Z, require_partition=(scope == "partition"))
         if scope == "global":
             emp = float(sm.global_spread.mean())
             return VerificationEntry(
@@ -401,10 +371,8 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         cls = problem.classification
         if cls.predicted_limit is None:
             raise NotApplicableError(f"no predicted limit ({cls.applicable_theorem})")
-        es = get_stats()
-        t = int(crit.get("at", es.times[-1]))
-        dist = manifold_distance(es, cls.predicted_limit, t)
-        emp = float(dist.mean())
+        t, Z = _snapshot(crit, get_stats())
+        emp = float(manifold_distance(Z, cls.predicted_limit).mean())
         return VerificationEntry(
             criterion=f"manifold@t={t}", theoretical=0.0, empirical=emp,
             tolerance=tol, passed=bool(emp <= tol),
@@ -414,7 +382,7 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         es = get_stats()
         window = tuple(crit.get("window", (100, int(es.times[-1]))))
         Q = np.asarray(crit["contrast"], float)
-        fit = rate_fit(es, crit.get("statistic", "mean-gap"), window, Q)
+        fit = rate_fit(es.times, es.Z, crit.get("statistic", "mean-gap"), window, Q)
         target = crit.get("target")
         if target is None:
             theta = problem.spectral.theta
@@ -434,8 +402,10 @@ def _evaluate_criterion(kind, crit, tol, problem, get_stats):
         if rep.regime != "sqrt_t" or rep.Sigma is None:
             raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
         es = get_stats()
-        t = int(crit.get("at", es.times[-1]))
-        emp = fluctuation_estimate(es, t)
+        if es.W.shape[1] < 2:  # reported ahead of an off-schedule "at"
+            raise TooFewReplicasError("need at least 2 replicas for a covariance")
+        t, Z = _snapshot(crit, es)
+        emp = fluctuation_estimate(Z, t)
         ref = np.asarray(crit["sigma"], float) if "sigma" in crit else rep.Sigma
         err = _relative_frobenius(emp, ref)
         return VerificationEntry(

@@ -8,7 +8,7 @@ in-degree zero are rejected at construction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,15 +51,6 @@ class GraphAnalysis:
     regular_degree: Optional[int] = None
     scc_order: Optional[tuple] = None  # SCCs in topological order (directed)
     g1_is_odd_cycle: Optional[bool] = None
-    canonical_perm: Optional[tuple] = field(default=None)
-    # canonical_perm[k] = original label of position k under V-first labeling
-
-    @property
-    def m(self) -> Optional[int]:
-        """Size of the first partition under the canonical labeling."""
-        if self.bipartition is None:
-            return None
-        return len(self.bipartition[0])
 
 
 def parse_edge_list(text: str, directed: bool, n: Optional[int] = None) -> GraphSpec:
@@ -196,20 +187,12 @@ def analyze_graph(g: GraphSpec) -> GraphAnalysis:
     adj = _undirected_adjacency_sets(g)
     colour = _two_colour(adj)
     bipartition = None
-    perm = None
     if colour is not None:
         V = frozenset(i for i in range(g.n) if colour[i] == colour[0])
-        W = frozenset(range(g.n)) - V
-        bipartition = (V, W)
-        perm = tuple(sorted(V) + sorted(W))
+        bipartition = (V, frozenset(range(g.n)) - V)
     degs = [len(adj[v]) for v in range(g.n)]
     regular = degs[0] if len(set(degs)) == 1 else None
-    return GraphAnalysis(
-        connected=True,
-        bipartition=bipartition,
-        regular_degree=regular,
-        canonical_perm=perm,
-    )
+    return GraphAnalysis(connected=True, bipartition=bipartition, regular_degree=regular)
 
 
 def _two_colour(adj) -> Optional[list]:

@@ -1,9 +1,9 @@
 """Dense spectral analysis of I + A D^-1 and related model matrices.
 
 Undirected graphs go through the symmetric similarity
-D^-1/2 (D + A) D^-1/2, so eigenvalues are exactly real and the eigenvector
-matrix is well conditioned. Directed graphs use the general eigensolver and
-may produce complex spectra.
+D^-1/2 (D + A) D^-1/2, so eigenvalues are exactly real. Directed graphs use
+the general eigensolver, whose eigenvectors serve only the
+diagonalizability check, and may produce complex spectra.
 """
 from __future__ import annotations
 
@@ -22,23 +22,19 @@ COND_LIMIT = 1e10
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigensystem of I + A D^-1 with any zero eigenvalue sorted first.
+    """Spectrum of I + A D^-1 with any zero eigenvalue sorted first.
 
-    P holds right eigenvectors as columns and Pinv = P^-1, so rows of Pinv
-    are left eigenvectors; the first row is the left null vector when a zero
-    eigenvalue exists. theta is the smallest nonzero eigenvalue, defined only
-    for (numerically) real spectra that contain a zero eigenvalue.
+    theta is the smallest nonzero eigenvalue, defined only for (numerically)
+    real spectra that contain a zero eigenvalue.
     """
 
     eigenvalues: np.ndarray
-    P: np.ndarray
-    Pinv: np.ndarray
     diagonalizable: bool
     theta: Optional[float] = None
 
 
 def eigendecompose(A: np.ndarray, Ddiag: np.ndarray, directed: bool) -> SpectralData:
-    """Eigendecomposition of M = I + A D^-1.
+    """Eigenvalues of M = I + A D^-1.
 
     Zero eigenvalues (|lambda| < 1e-8) sort first, the rest ascend by real
     part. A directed matrix whose eigenvector matrix has condition number
@@ -47,44 +43,31 @@ def eigendecompose(A: np.ndarray, Ddiag: np.ndarray, directed: bool) -> Spectral
     if np.any(Ddiag <= 0):
         raise ValueError("degree vector must be strictly positive")
     n = A.shape[0]
-    M = np.eye(n) + A / Ddiag[None, :]
 
     try:
         if not directed:
             # D^-1/2 (I + A D^-1) D^1/2 = I + D^-1/2 A D^-1/2 is symmetric
             droot = np.sqrt(Ddiag)
             sym = np.eye(n) + A / np.outer(droot, droot)
-            w, V = np.linalg.eigh(sym)
-            P = V * droot[:, None]
-            Pinv = V.T / droot[None, :]
-            eig = w.astype(float)
+            eig = np.linalg.eigh(sym)[0].astype(float)
             diagonalizable = True
         else:
-            eig, P = np.linalg.eig(M)
+            eig, P = np.linalg.eig(np.eye(n) + A / Ddiag[None, :])
             cond = np.linalg.cond(P)
             diagonalizable = bool(np.isfinite(cond) and cond < COND_LIMIT)
-            Pinv = np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
-    order = _zero_first_order(eig)
-    eig = eig[order]
-    P = P[:, order]
-    Pinv = Pinv[order, :]
-
+    eig = eig[_zero_first_order(eig)]
     if np.all(np.abs(np.imag(eig)) < 1e-10):
         eig = np.real(eig)
-        if np.iscomplexobj(P) and np.all(np.abs(np.imag(P)) < 1e-10):
-            P = np.real(P)
-            Pinv = np.real(Pinv)
 
     theta = None
     if np.isrealobj(eig) and np.abs(eig[0]) < ZERO_EIG_TOL:
         nonzero = eig[np.abs(eig) >= ZERO_EIG_TOL]
         if nonzero.size:
             theta = float(nonzero.min())
-    return SpectralData(eigenvalues=eig, P=P, Pinv=Pinv,
-                        diagonalizable=diagonalizable, theta=theta)
+    return SpectralData(eigenvalues=eig, diagonalizable=diagonalizable, theta=theta)
 
 
 def _zero_first_order(eig: np.ndarray) -> np.ndarray:

@@ -105,10 +105,6 @@ class LimitSet:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    def point(self, coeffs) -> np.ndarray:
-        coeffs = np.atleast_1d(np.asarray(coeffs, float))
-        return self.particular + coeffs @ self.basis
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -176,6 +172,11 @@ class Problem:
         return matrices(self.g)
 
     @cached_property
+    def ADi(self) -> np.ndarray:
+        """The column-stochastic transfer matrix A D^-1."""
+        return self.A / self.deg[None, :]
+
+    @cached_property
     def params(self) -> Params:
         """eta/kappa per neighbourhood mode; omega_i in {1, d_i, d_i + 1}.
 
@@ -216,10 +217,9 @@ def drift_model(problem: Problem) -> DriftModel:
     Directed graphs enter through the in-degrees, which is what problem.deg
     holds.
     """
-    cfg, A, deg = problem.cfg, problem.A, problem.deg
+    cfg, A, deg, ADi = problem.cfg, problem.A, problem.deg, problem.ADi
     n = problem.g.n
     I = np.eye(n)
-    ADi = A / deg[None, :]
     Ptil = cfg.p * I + (1.0 - cfg.p) * ADi
     if cfg.neighbourhood == "self":
         T = Ptil
@@ -410,8 +410,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 
-    n = g.n
-    ADi = problem.A / problem.deg[None, :]
+    n, ADi = g.n, problem.ADi
     symmetric = not g.directed and np.allclose(ADi, ADi.T, atol=1e-12)
     rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)

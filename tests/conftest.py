@@ -121,6 +121,17 @@ def draw_batch(problem, W, T, rng, ndraws: int):
     return src % n, Y, kern.chi(Y)
 
 
+def expected_chi(problem, W, T):
+    """Conditional mean of chi given the state (W, T); the same for both
+    sampling modes."""
+    cfg = problem.cfg
+    Z = W / T
+    mix = cfg.p * Z + (1.0 - cfg.p) * (Z @ (problem.A / problem.deg[None, :]))
+    if cfg.scheme == "polya":
+        return cfg.s * mix
+    return cfg.s * (1.0 - mix)
+
+
 def reference_simulate(problem, steps, schedule, replicas, seed):
     """(K, R, n) W snapshots of simulate_ensemble's process, by plain per-step
     arithmetic: the source drawn every step, separate W and T gathers, a

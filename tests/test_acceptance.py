@@ -21,9 +21,8 @@ Two checks are expected to fail and are kept as stated:
 import numpy as np
 import pytest
 
-from urnnet.dynamics import ModelConfig, expected_chi
+from urnnet.dynamics import ModelConfig, simulate_ensemble
 from urnnet.experiments import (
-    ensemble,
     fluctuation_estimate,
     manifold_distance,
     rate_fit,
@@ -41,6 +40,7 @@ from conftest import (
     K2_EDGES,
     P3_EDGES,
     draw_batch,
+    expected_chi,
     grid_edges,
     problem,
     random_connected_graph,
@@ -66,7 +66,7 @@ def final_Z(g, code, p, seed, steps=STEPS, replicas=REPLICAS, **kw):
     key = (g.edges, g.directed, code, p, seed, steps, replicas, tuple(sorted(kw.items())))
     if key not in _cache:
         P = problem(g, code, p, seed=seed, **kw)
-        es = ensemble(P, replicas=replicas, steps=steps, schedule=[steps], seed=seed)
+        es = simulate_ensemble(P, steps, schedule=[steps], replicas=replicas, seed=seed)
         _cache[key] = es
     return _cache[key]
 
@@ -98,7 +98,7 @@ def test_criterion_2_ftsr_p0_c5():
 def test_criterion_3_ftsr_p0_c4_partial_sync():
     g = graph(C4_EDGES)
     es = final_Z(g, "ftsr", 0.0, seed=103)
-    sm = sync_metrics(problem(g), es, STEPS)
+    sm = sync_metrics(problem(g), es.Z[-1])
     spread = max(sm.within_v.mean(), sm.within_w.mean())
     frac = np.mean((sm.cross_sum >= 0.97) & (sm.cross_sum <= 1.03))
     ok = spread <= 0.05 and frac >= 0.95
@@ -112,7 +112,7 @@ def test_criterion_3_ftsr_p0_c4_partial_sync():
 def test_criterion_4_polya_sync():
     c5 = graph(C5_EDGES)
     es = final_Z(c5, "ptsr", 0.5, seed=104)
-    sm = sync_metrics(problem(c5), es, STEPS)
+    sm = sync_metrics(problem(c5), es.Z[-1])
     spread = sm.global_spread.mean()
     limit_std = sm.zbar.std()
     report("C4a PTSR C5 p=0.5 global sync", spread <= 0.05,
@@ -121,7 +121,7 @@ def test_criterion_4_polya_sync():
 
     c4 = graph(C4_EDGES)
     es = final_Z(c4, "ptnr", 0.0, seed=105)
-    sm = sync_metrics(problem(c4), es, STEPS)
+    sm = sync_metrics(problem(c4), es.Z[-1])
     spread = max(sm.within_v.mean(), sm.within_w.mean())
     partition_gap = np.abs(sm.zbar_v - sm.zbar_w).mean()
     report("C4b PTNR C4 p=0 partition sync", spread <= 0.05,
@@ -135,7 +135,7 @@ def _k2_fluct_setup():
     g = graph(K2_EDGES)
     P = problem(g, "ftsr", 0.5, s=1, seed=106)
     es = final_Z(g, "ftsr", 0.5, seed=106, s=1, steps=10_000, replicas=5000)
-    emp = fluctuation_estimate(es, 10_000)
+    emp = fluctuation_estimate(es.Z[-1], 10_000)
     return P, emp
 
 
@@ -169,7 +169,7 @@ def test_criterion_5b_ftnr_c4_p08():
     g = graph(C4_EDGES)
     rep = fluctuation(problem(g, "ftnr", 0.8, s=2, seed=107))
     es = final_Z(g, "ftnr", 0.8, seed=107, s=2, steps=10_000, replicas=5000)
-    emp = fluctuation_estimate(es, 10_000)
+    emp = fluctuation_estimate(es.Z[-1], 10_000)
     v = np.array([1, -1, 1, -1]) / 2.0
     # smallest eigenvalue of I + pAD^-1 + (1-p)(AD^-1)^2 is 2(1-p) = 0.4 < 1/2:
     # no sqrt(t) regime exists (the alternating mode of t Var grows ~ t^0.2,
@@ -193,11 +193,10 @@ def test_criterion_6_decay_rate_c4():
     cfg = ModelConfig.from_code("ftsr", p=0.0, s=2, C=1, t0=100,
                                 w0=[25, 50, 75, 50], n=4, seed=108)
     P = Problem(g, cfg)
-    es = ensemble(P, replicas=512, steps=STEPS,
-                  schedule="geometric(1.25)", seed=108)
+    es = simulate_ensemble(P, STEPS, schedule="geometric(1.25)", replicas=512, seed=108)
     theta = P.spectral.theta
     contrast = np.array([1.0, 0.0, -1.0, 0.0])  # same-partition contrast
-    fit = rate_fit(es, "mean-gap", (1000, STEPS), contrast)
+    fit = rate_fit(es.times, es.Z, "mean-gap", (1000, STEPS), contrast)
     err = abs(fit.slope - (-theta))
     report("C6 FTSR C4 p=0 mean-gap slope", err <= 0.25,
            f"log-log slope = {fit.slope:.3f} vs -theta = {-theta} "
@@ -222,7 +221,7 @@ def test_criterion_7_directed_manifold_fig2():
            "; ".join(f"{k} = {v:.4f}" for k, v in means.items()) + " (tol 0.1 each)")
     # cross-check: replica states lie near the one-parameter family itself
     cls = problem(g, "ftsr", 0.0).classification
-    dist = manifold_distance(es, cls.predicted_limit, STEPS).mean()
+    dist = manifold_distance(es.Z[-1], cls.predicted_limit).mean()
     assert dist <= 0.05, f"mean family residual {dist:.4f}"
 
 

@@ -206,6 +206,9 @@ def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
     ("--t0", "abc"),
     ("--w0", "abc"),
     ("--seed", "-1"),
+    ("--c", "1152921504606846976"),  # totals pass 2**63 after a few steps
+    ("--c", "4611686018427387904"),  # C*s alone is 2**63
+    ("--t0", "9223372036854775807"),  # the first step overflows
 ])
 def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
@@ -268,12 +271,14 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "unknown key(s) 'tolerence'"),
     ('{"steps": 10, "schedule": ["geometric", 1.5], "criteria": [{"kind": "convergence"}]}',
      "bad schedule"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence"},'
+     ' {"kind": "manifold", "steps": 4611686018427387904}]}', "overflow int64"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
         "rate-fractional-window", "sync-unknown-scope", "fluctuation-sigma-shape",
         "convergence-target-length", "non-integer-schedule", "negative-seed",
-        "misspelt-key", "list-geometric-schedule"])
+        "misspelt-key", "list-geometric-schedule", "overflowing-steps"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
@@ -294,6 +299,17 @@ def test_verify_at_off_schedule_is_a_failed_entry(c5_file, tmp_path, capsys):
     (entry,) = json.loads(capsys.readouterr().out)["criteria"]
     assert entry["pass"] is False
     assert entry["note"] == "NotACheckpointError: t=7 is not a checkpoint (have [0, 50, 100])"
+
+
+def test_verify_too_few_replicas_outranks_off_schedule_at(c5_file, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"steps": 100, "replicas": 4, "schedule": [50],
+                                "criteria": [{"kind": "fluctuation", "replicas": 1, "at": 7}]}))
+    rc = main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan)])
+    assert rc == 1
+    (entry,) = json.loads(capsys.readouterr().out)["criteria"]
+    assert entry["pass"] is False
+    assert entry["note"] == "TooFewReplicasError: need at least 2 replicas for a covariance"
 
 
 def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from urnnet.dynamics import (
     MODEL_CODES,
     StepKernel,
-    expected_chi,
+    check_totals,
     parse_schedule,
     simulate_ensemble,
 )
@@ -14,6 +14,7 @@ from urnnet.theory import Problem
 
 from conftest import (
     draw_batch,
+    expected_chi,
     in_neighbours_oracle,
     problem,
     random_connected_graph,
@@ -22,9 +23,9 @@ from conftest import (
 )
 
 
-def run(P, steps, schedule=None, rng=None):
+def run(P, steps, schedule=None):
     """Single-replica snapshots (times, W, T, Z) with Z of shape (K, n)."""
-    ens = simulate_ensemble(P, steps, schedule=schedule, replicas=1, rng=rng)
+    ens = simulate_ensemble(P, steps, schedule=schedule, replicas=1)
     return ens.times, ens.W[:, 0, :], ens.T, ens.Z[:, 0, :]
 
 
@@ -291,6 +292,18 @@ def test_totals_deterministic_identity(c5):
     assert np.all(W >= 0) and np.all(W <= T)
 
 
+def test_totals_bound_is_exact_at_int64_max(k2):
+    top = int(np.iinfo(np.int64).max)
+    P = problem(k2, "ftsnr", p=0.5, s=2, C=3, t0=top - 120, w0=1)  # 12 balls a step
+    check_totals(P, 10)
+    raw = simulate_ensemble(P, 10, schedule=[10])
+    assert raw.T[-1].tolist() == [top, top]
+    with pytest.raises(ConfigError, match="overflow int64"):
+        check_totals(P, 11)
+    with pytest.raises(ConfigError, match="overflow int64"):
+        simulate_ensemble(P, 11)
+
+
 def test_without_replacement_trajectory_valid(p3):
     P = problem(p3, "ptsr", p=0.5, s=4, t0=6, w0=3, sampling="without", seed=8)
     _, W, T, _ = run(P, steps=300, schedule="all")
@@ -340,7 +353,7 @@ def test_simulate_matches_reference_kernel(seed, directed, code, sampling, C, s,
     g = random_directed_graph(rng) if directed else random_connected_graph(rng)
     t0 = rng.integers(s + 1, s + 30, g.n)
     P = problem(g, code, p=p, s=s, C=C, t0=t0, w0=rng.integers(1, t0), sampling=sampling)
-    got = simulate_ensemble(P, 150, schedule="all", replicas=R, rng=seed).W
+    got = simulate_ensemble(P, 150, schedule="all", replicas=R, seed=seed).W
     assert got.tobytes() == reference_simulate(P, 150, "all", R, seed).tobytes()
 
 

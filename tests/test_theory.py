@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from urnnet.dynamics import ModelConfig, expected_chi
+from urnnet.dynamics import ModelConfig
 from urnnet.errors import AssumptionViolatedError, NotApplicableError
 from urnnet.graphs import parse_edge_list
 from urnnet.theory import (
@@ -17,7 +17,7 @@ from urnnet.theory import (
     stability,
 )
 
-from conftest import problem, random_connected_graph, random_directed_graph
+from conftest import expected_chi, problem, random_connected_graph, random_directed_graph
 
 ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
 # directed graph whose Jacobian is defective for every Friedman model at
@@ -109,7 +109,7 @@ def test_limit_family_ftsr_p0_c4(c4):
     v = ls.basis[0] / ls.basis[0][0]
     assert np.allclose(v, [1, -1, 1, -1], atol=1e-10)  # alternates by partition
     lo, hi = ls.box[0]
-    ends = {tuple(np.round(ls.point([c]), 9)) for c in (lo, hi)}
+    ends = {tuple(np.round(ls.particular + c * ls.basis[0], 9)) for c in (lo, hi)}
     assert ends == {(0.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0)}
 
 
@@ -123,10 +123,10 @@ def test_limit_family_fig2(fig2):
     for a in (1 / 3, 0.45, 2 / 3):
         zt = family(a)
         c = (zt - ls.particular) @ ls.basis.T
-        assert np.linalg.norm(zt - ls.point(c)) < 1e-10
+        assert np.linalg.norm(zt - (ls.particular + c @ ls.basis)) < 1e-10
         assert ls.box[0, 0] - 1e-9 <= c[0] <= ls.box[0, 1] + 1e-9
     # the box endpoints are exactly the extreme family members a = 1/3, 2/3
-    ends = {tuple(np.round(ls.point([b]), 9)) for b in ls.box[0]}
+    ends = {tuple(np.round(ls.particular + b * ls.basis[0], 9)) for b in ls.box[0]}
     want = {tuple(np.round(family(a), 9)) for a in (1 / 3, 2 / 3)}
     assert ends == want
 
