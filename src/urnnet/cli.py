@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import experiments, theory
-from .dynamics import MODEL_CODES, ModelConfig, simulate_ensemble
+from .dynamics import MODEL_CODES, ModelConfig, check_keys, read_number, simulate_ensemble
 from .errors import ConfigError, UrnnetError
 from .graphs import load_edge_file
 
@@ -76,22 +76,6 @@ def _dumps(obj, pad: str = "") -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-def _parse_int_list(value, n: int) -> np.ndarray:
-    """One or n integers: a flag or key=value string ('4', '4,5,6'), or a
-    JSON config number or list."""
-    parts = ([str(v) for v in value] if isinstance(value, list)
-             else str(value).replace(",", " ").split())
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError:
-        raise UrnnetError(f"expected integers, got {value!r}") from None
-    if len(vals) == 1:
-        return np.full(n, vals[0], dtype=np.int64)
-    if len(vals) != n:
-        raise UrnnetError(f"expected 1 or {n} values, got {len(vals)} in {value!r}")
-    return np.asarray(vals, dtype=np.int64)
-
-
 def _json_object(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
@@ -100,6 +84,12 @@ def _json_object(text: str, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{what}: expected a JSON object")
     return obj
+
+
+# The keys a config file may hold: the settings the commands read from it;
+# out, plan, stats_out and cov_out are flags only.
+_CONFIG_KEYS = ("graph", "directed", "model", "p", "s", "c", "t0", "w0", "sampling", "seed",
+                "steps", "replicas", "schedule")
 
 
 def _load_config_file(path) -> dict:
@@ -130,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", help="edge-list file (u v per line, '#' comments)")
         p.add_argument("--directed", action="store_true", default=None)
         p.add_argument("--model", choices=sorted(MODEL_CODES), help="model code")
-        p.add_argument("--p", type=float, default=None, help="self-sampling probability")
-        p.add_argument("--s", type=int, default=None, help="sample size per urn")
-        p.add_argument("--c", type=int, default=None, help="reinforcement multiple")
+        p.add_argument("--p", default=None, help="self-sampling probability")
+        p.add_argument("--s", default=None, help="sample size per urn")
+        p.add_argument("--c", default=None, help="reinforcement multiple")
         p.add_argument("--t0", default=None, help="initial totals (scalar or per-urn list)")
         p.add_argument("--w0", default=None, help="initial whites (scalar or per-urn list)")
         p.add_argument("--sampling", choices=("with", "without"), default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--out", help="output path (default: stdout)")
 
     pa = sub.add_parser("analyze", help="spectral/theory report as JSON")
@@ -144,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="run replicas, write trajectory CSV")
     add_common(ps)
-    ps.add_argument("--steps", type=int, default=None)
-    ps.add_argument("--replicas", type=int, default=None)
+    ps.add_argument("--steps", default=None)
+    ps.add_argument("--replicas", default=None)
     ps.add_argument("--schedule", default=None, help="all | geometric(r) | t1,t2,...")
     ps.add_argument("--stats-out", help="also write per-urn mean/var CSV")
     ps.add_argument("--cov-out", help="also write pairwise covariance CSV")
@@ -153,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="evaluate a criteria plan, exit 0 iff pass")
     add_common(pv)
     pv.add_argument("--plan", help="plan JSON file (default: built-in plan)")
-    pv.add_argument("--steps", type=int, default=None)
-    pv.add_argument("--replicas", type=int, default=None)
+    pv.add_argument("--steps", default=None)
+    pv.add_argument("--replicas", default=None)
     pv.add_argument("--schedule", default=None)
 
     pe = sub.add_parser("export-limit", help="dump the predicted limit-set basis as CSV")
@@ -162,44 +152,40 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve(args, key, file_cfg, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = file_cfg.get(key, default)
-    return val
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _load_problem(args) -> tuple:
-    """(Problem, config-file dict) from the flags and the optional config file."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    graph_path = _resolve(args, "graph", file_cfg)
+    """(Problem, run settings): each setting is its flag, else the config
+    file's, else its default. Numbers go through dynamics.read_number: the
+    model's in ModelConfig.from_code, steps and replicas here whatever the
+    command, so a malformed config file fails every command."""
+    opt = _load_config_file(args.config) if args.config else {}
+    check_keys(f"config file {args.config}", opt, _CONFIG_KEYS)
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    opt.update({key: val for key, val in flags.items() if val is not None})
+    graph_path = opt.get("graph")
     if not graph_path:
         raise UrnnetError("missing --graph")
     if not isinstance(graph_path, str):  # open() would take a number as a descriptor
         raise ConfigError(f"graph must be a file path, got {graph_path!r}")
-    directed = _resolve(args, "directed", file_cfg, default=False)
+    directed = opt.get("directed", False)
     if isinstance(directed, str):
-        directed = directed.strip().lower() in ("1", "true", "yes")
-    g = load_edge_file(graph_path, bool(directed))
+        directed = _BOOLEANS.get(directed.strip().lower(), directed)
+    if not isinstance(directed, bool):
+        raise ConfigError(f"directed must be true or false, got {directed!r}")
+    g = load_edge_file(graph_path, directed)
 
-    model = _resolve(args, "model", file_cfg)
+    model = opt.get("model")
     if not model:
         raise UrnnetError("missing --model")
-    try:
-        p = float(_resolve(args, "p", file_cfg, default=0.5))
-        s = int(_resolve(args, "s", file_cfg, default=2))
-        C = int(_resolve(args, "c", file_cfg, default=1))
-        seed = int(_resolve(args, "seed", file_cfg, default=0))
-    except (TypeError, ValueError) as exc:
-        raise UrnnetError(f"bad numeric option: {exc}")
-    sampling = _resolve(args, "sampling", file_cfg, default="with")
-    T0 = _parse_int_list(_resolve(args, "t0", file_cfg, default="4"), g.n)
-    w0_raw = _resolve(args, "w0", file_cfg)
-    W0 = _parse_int_list(w0_raw, g.n) if w0_raw is not None else T0 // 2
-    cfg = ModelConfig.from_code(model, p=p, s=s, C=C, t0=T0, w0=W0, n=g.n,
-                                sampling=sampling, seed=seed)
-    return theory.Problem(g, cfg), file_cfg
+    cfg = ModelConfig.from_code(model, p=opt.get("p", 0.5), s=opt.get("s", 2), C=opt.get("c", 1),
+                                t0=opt.get("t0", 4), w0=opt.get("w0"), n=g.n,
+                                sampling=opt.get("sampling", "with"), seed=opt.get("seed", 0))
+    run = {key: read_number(opt[key], key) for key in ("steps", "replicas") if key in opt}
+    if opt.get("schedule") is not None:
+        run["schedule"] = opt["schedule"]
+    return theory.Problem(g, cfg), run
 
 
 @contextmanager
@@ -302,16 +288,11 @@ def _csv_rows(fmt: str, *cols) -> str:
 
 
 def cmd_simulate(args) -> int:
-    problem, file_cfg = _load_problem(args)
+    problem, run = _load_problem(args)
     n = problem.g.n
-    try:
-        steps = int(_resolve(args, "steps", file_cfg, default=1000))
-        replicas = int(_resolve(args, "replicas", file_cfg, default=1))
-    except (TypeError, ValueError) as exc:
-        raise UrnnetError(f"bad numeric option: {exc}")
-    schedule = _resolve(args, "schedule", file_cfg, default="geometric(1.2)")
+    steps, replicas = run.get("steps", 1000), run.get("replicas", 1)
     start = time.perf_counter()
-    raw = simulate_ensemble(problem, steps, schedule=schedule, replicas=replicas)
+    raw = simulate_ensemble(problem, steps, schedule=run.get("schedule"), replicas=replicas)
     times = raw.times.tolist()
     urns = list(range(n))
     # One snapshot at a time, so no file's whole text is held in memory.
@@ -346,16 +327,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem, file_cfg = _load_problem(args)
+    problem, run = _load_problem(args)
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = _json_object(fh.read(), f"plan file {args.plan}")
     else:
         plan = experiments.default_plan()
-    for key in ("steps", "replicas", "schedule"):
-        val = _resolve(args, key, file_cfg)
-        if val is not None:
-            plan[key] = val
+    plan.update(run)
     report = experiments.verify(problem, plan)
     payload = {
         "overall_pass": report.overall_pass,

@@ -40,7 +40,10 @@ __all__ = [
     "EnsembleTrajectories",
     "StepKernel",
     "MODEL_CODES",
+    "check_budget",
+    "check_keys",
     "check_totals",
+    "read_number",
     "simulate_ensemble",
     "parse_schedule",
 ]
@@ -110,15 +113,17 @@ class ModelConfig:
         object.__setattr__(self, "W0", W0)
 
     @classmethod
-    def from_code(cls, code: str, *, p, s, C, t0, w0, n, sampling="with", seed=0):
-        """Build from a four-letter model code, broadcasting scalar t0/w0."""
+    def from_code(cls, code: str, *, p, s, C, t0, w0=None, n, sampling="with", seed=0):
+        """Build from a four-letter model code. t0 and w0 are one integer or n,
+        as a list or a string; w0 defaults to t0 // 2."""
         code = str(code).lower()
         if code not in MODEL_CODES:
             raise ConfigError(f"unknown model code {code!r}")
         scheme, neigh = MODEL_CODES[code]
-        T0 = np.full(n, t0, dtype=np.int64) if np.isscalar(t0) else np.asarray(t0, np.int64)
-        W0 = np.full(n, w0, dtype=np.int64) if np.isscalar(w0) else np.asarray(w0, np.int64)
-        return cls(scheme, neigh, float(p), int(s), int(C), sampling, T0, W0, int(seed))
+        T0 = _per_urn(t0, "t0", n)
+        W0 = T0 // 2 if w0 is None else _per_urn(w0, "w0", n)
+        return cls(scheme, neigh, read_number(p, "p", integer=False), read_number(s, "s"),
+                   read_number(C, "c"), sampling, T0, W0, read_number(seed, "seed"))
 
     @property
     def model_code(self) -> str:
@@ -227,40 +232,79 @@ class StepKernel:
         W += self.cfg.C * chi
 
 
-def parse_schedule(schedule, steps: int) -> np.ndarray:
-    """Snapshot times: 'all', 'geometric(r)' / ('geometric', r), or a list.
+def read_number(value, key: str, integer: bool = True, least=None):
+    """value as an int, or else as a finite float: the one reader of the
+    numbers that flags, config files and plans give. A number is a Python or
+    NumPy number, or a string int() or float() reads (flags, key=value
+    lines); an integer may be an integral float (JSON 1e5 or 4.0), but not
+    100.9 or '1e5'. A bool is never a number. ConfigError naming key unless
+    value is a number of the mode, at least `least` when that is given.
+    """
+    number = None
+    if not isinstance(value, bool) and isinstance(value, (str, int, float, np.number)):
+        try:
+            if not integer:
+                number = float(value)
+            elif isinstance(value, (str, int, np.integer)) or value.is_integer():
+                number = int(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is None or not abs(number) < np.inf:
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'}, "
+                          f"got {value!r}")
+    if least is not None and number < least:
+        raise ConfigError(f"{key} must be >= {least}, got {number}")
+    return number
 
-    Always includes t=0 and t=steps. Default is geometric(1.2).
+
+def check_keys(what: str, obj: dict, known) -> None:
+    """ConfigError naming what and the keys of obj that are not in known."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) " + ", ".join(repr(key) for key in unknown))
+
+
+def _per_urn(value, key: str, n: int) -> np.ndarray:
+    """n int64 values from one integer or n of them: a list, or a string
+    separated by commas or spaces."""
+    items = (value.replace(",", " ").split() if isinstance(value, str) else
+             list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value])
+    try:
+        vals = np.array([read_number(x, key) for x in items], dtype=np.int64)
+    except OverflowError:
+        raise ConfigError(f"{key} must fit in int64, got {value!r}") from None
+    if len(vals) not in (1, n):
+        raise ConfigError(f"{key}: expected 1 or {n} values, got {len(vals)} in {value!r}")
+    return np.resize(vals, n)
+
+
+def parse_schedule(schedule, steps: int) -> np.ndarray:
+    """Snapshot times: 'all', 'geometric(r)' (the default, r = 1.2), or the
+    times t1,t2,... as a string or a list. Always includes t=0 and t=steps.
     """
     if schedule is None:
-        schedule = ("geometric", 1.2)
-    if isinstance(schedule, str):
-        txt = schedule.strip().lower()
-        if txt == "all":
-            return np.arange(steps + 1)
-        try:
-            if txt.startswith("geometric"):
-                inner = txt[len("geometric"):].strip("():")
-                schedule = ("geometric", float(inner) if inner else 1.2)
-            else:
-                schedule = [int(x) for x in txt.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"bad schedule {schedule!r}: expected all, geometric(r) or t1,t2,...") from None
-    if isinstance(schedule, tuple) and schedule and schedule[0] == "geometric":
-        r = float(schedule[1])
+        schedule = "geometric(1.2)"
+    txt = schedule.strip().lower() if isinstance(schedule, str) else None
+    if txt == "all":
+        return np.arange(steps + 1)
+    geometric = txt is not None and txt.startswith("geometric")
+    try:
+        if geometric:
+            r = read_number(txt[len("geometric"):].strip("():") or 1.2, "ratio", integer=False)
+        else:
+            ts = {read_number(t, "time")
+                  for t in (schedule if txt is None else txt.replace(",", " ").split())}
+    except (ConfigError, TypeError):
+        expected = "a list of times" if txt is None else "all, geometric(r) or t1,t2,..."
+        raise ConfigError(f"bad schedule {schedule!r}: expected {expected}") from None
+    if geometric:
         if r <= 1.0:
             raise ConfigError("geometric schedule ratio must exceed 1")
-        ts = {0, steps}
-        t = 1.0
+        ts, t = set(), 1.0
         while t <= steps:
             ts.add(int(t))
             t *= r
-        return np.array(sorted(ts))
-    try:
-        ts = sorted(set(int(t) for t in schedule) | {0, steps})
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad schedule {schedule!r}: expected a list of times") from None
+    ts = sorted(ts | {0, steps})
     if ts[0] < 0 or ts[-1] > steps:
         raise ConfigError("schedule times must lie in [0, steps]")
     return np.array(ts)
@@ -281,6 +325,17 @@ def check_totals(problem: Problem, steps: int) -> None:
                           f"totals reach {top} > {_INT64_MAX}")
 
 
+def check_budget(problem: Problem, steps, replicas, schedule, seed) -> tuple:
+    """The run (steps, replicas, times, seed), read and checked: steps >= 0,
+    replicas >= 1, seed >= 0, check_totals, and parse_schedule's times as a
+    tuple. ConfigError when one is malformed or out of range."""
+    steps = read_number(steps, "steps", least=0)
+    replicas = read_number(replicas, "replicas", least=1)
+    seed = read_number(seed, "seed", least=0)
+    check_totals(problem, steps)
+    return steps, replicas, tuple(parse_schedule(schedule, steps).tolist()), seed
+
+
 def simulate_ensemble(problem: Problem, steps: int,
                       schedule=None, replicas: int = 1,
                       seed: Optional[int] = None) -> EnsembleTrajectories:
@@ -288,24 +343,17 @@ def simulate_ensemble(problem: Problem, steps: int,
 
     Every replica starts from (W0, T0) and owns an independent slice of the
     random stream at each step; seed defaults to the config's. Snapshots of
-    (W, T) are taken at the scheduled times.
+    (W, T) are taken at the scheduled times. The stream does not depend on
+    the schedule. ConfigError on a bad budget (see check_budget).
     """
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
-    if replicas < 1:
-        raise ConfigError("need at least one replica")
     cfg = problem.cfg
-    if seed is None:
-        seed = cfg.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    check_totals(problem, steps)
+    steps, replicas, times, seed = check_budget(
+        problem, steps, replicas, schedule, cfg.seed if seed is None else seed)
     rng = np.random.default_rng(seed)
 
     n = problem.g.n
     kern = StepKernel(problem)
-    times = parse_schedule(schedule, steps)
-    snap_at = {int(t): i for i, t in enumerate(times)}
+    snap_at = {t: i for i, t in enumerate(times)}
 
     W = np.tile(cfg.W0, (replicas, 1))
     T = cfg.T0.copy()
@@ -319,8 +367,7 @@ def simulate_ensemble(problem: Problem, steps: int,
         Ws[i] = W
         Ts[i] = T
 
-    if 0 in snap_at:
-        snapshot(0)
+    snapshot(0)
 
     block = max(1, min(128, _BLOCK_BUDGET // max(1, replicas * n * (2 + cfg.s))))
     chunk = max(1, _SOURCE_CHUNK // (replicas * n))
@@ -338,4 +385,4 @@ def simulate_ensemble(problem: Problem, steps: int,
             t += 1
             if t in snap_at:
                 snapshot(t)
-    return EnsembleTrajectories(times=times, W=Ws, T=Ts)
+    return EnsembleTrajectories(times=np.array(times), W=Ws, T=Ts)

@@ -8,11 +8,14 @@ diagonalizability check, and may produce complex spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import EigenFailure
+
+if TYPE_CHECKING:
+    from .theory import Problem
 
 __all__ = ["SpectralData", "eigendecompose", "nullspace", "ZERO_EIG_TOL"]
 
@@ -33,26 +36,27 @@ class SpectralData:
     theta: Optional[float] = None
 
 
-def eigendecompose(A: np.ndarray, Ddiag: np.ndarray, directed: bool) -> SpectralData:
-    """Eigenvalues of M = I + A D^-1.
+def eigendecompose(problem: Problem) -> SpectralData:
+    """Eigenvalues of M = I + A D^-1 on the problem's graph.
 
     Zero eigenvalues (|lambda| < 1e-8) sort first, the rest ascend by real
     part. A directed matrix whose eigenvector matrix has condition number
     above 1e10 is flagged diagonalizable=False.
     """
+    A, Ddiag = problem.A, problem.deg
     if np.any(Ddiag <= 0):
         raise ValueError("degree vector must be strictly positive")
     n = A.shape[0]
 
     try:
-        if not directed:
+        if not problem.g.directed:
             # D^-1/2 (I + A D^-1) D^1/2 = I + D^-1/2 A D^-1/2 is symmetric
             droot = np.sqrt(Ddiag)
             sym = np.eye(n) + A / np.outer(droot, droot)
             eig = np.linalg.eigh(sym)[0].astype(float)
             diagonalizable = True
         else:
-            eig, P = np.linalg.eig(np.eye(n) + A / Ddiag[None, :])
+            eig, P = np.linalg.eig(np.eye(n) + problem.ADi)
             cond = np.linalg.cond(P)
             diagonalizable = bool(np.isfinite(cond) and cond < COND_LIMIT)
     except np.linalg.LinAlgError as exc:

@@ -196,7 +196,7 @@ class Problem:
 
     @cached_property
     def spectral(self) -> SpectralData:
-        return eigendecompose(self.A, self.deg, self.g.directed)
+        return eigendecompose(self)
 
     @cached_property
     def drift(self) -> DriftModel:

@@ -209,6 +209,7 @@ def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
     ("--c", "1152921504606846976"),  # totals pass 2**63 after a few steps
     ("--c", "4611686018427387904"),  # C*s alone is 2**63
     ("--t0", "9223372036854775807"),  # the first step overflows
+    ("--t0", "9223372036854775808"),  # does not fit in int64 at all
 ])
 def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
@@ -229,7 +230,17 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
     ('{"graph": "GRAPH", "model": "ftsr", "p": ', "not valid JSON"),
     ('{"graph": "GRAPH", "model": 5}', "'5'"),
     ('{"graph": 1, "model": "ftsr"}', "file path"),
-], ids=["malformed-json", "non-string-model", "non-string-graph"])
+    ('{"graph": "GRAPH", "model": "ftsr", "s": 2.7}', "s must be an integer, got 2.7"),
+    ('{"graph": "GRAPH", "model": "ftsr", "steps": 10.7}', "steps must be an integer, got 10.7"),
+    ('{"graph": "GRAPH", "model": "ftsr", "replicas": 1.9}',
+     "replicas must be an integer, got 1.9"),
+    ('{"graph": "GRAPH", "model": "ftsr", "seed": true}', "seed must be an integer, got True"),
+    ('{"graph": "GRAPH", "model": "ftsr", "directed": "maybe"}',
+     "directed must be true or false, got 'maybe'"),
+    ("graph = GRAPH\nmodel = ftsr\nout = x.json\n", "unknown key(s) 'out'"),
+], ids=["malformed-json", "non-string-model", "non-string-graph", "fractional-s",
+        "fractional-steps", "fractional-replicas", "boolean-seed", "non-boolean-directed",
+        "flag-only-key"])
 def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(text.replace("GRAPH", c4_file))
@@ -273,12 +284,35 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "bad schedule"),
     ('{"steps": 10, "criteria": [{"kind": "convergence"},'
      ' {"kind": "manifold", "steps": 4611686018427387904}]}', "overflow int64"),
+    ('{"steps": 100.9, "criteria": [{"kind": "convergence"}]}',
+     "bad plan budget: steps must be an integer, got 100.9"),
+    ('{"steps": 10, "replicas": 1.9, "criteria": [{"kind": "convergence"}]}',
+     "bad plan budget: replicas must be an integer, got 1.9"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "seed": 2.5}]}',
+     "bad plan budget: seed must be an integer, got 2.5"),
+    ('{"steps": 100, "criteria": [{"kind": "convergence", "at": 100.7}]}',
+     "'at' must be an integer, got 100.7"),
+    ('{"steps": true, "criteria": [{"kind": "convergence"}]}',
+     "bad plan budget: steps must be an integer, got True"),
+    ('{"steps": 100, "schedule": [50.7], "criteria": [{"kind": "convergence"}]}',
+     "bad schedule"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerance": Infinity}]}',
+     "'tolerance' must be a finite number, got inf"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerance": true}]}',
+     "'tolerance' must be a finite number, got True"),
+    ('{"steps": 10, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "window": [true, 200]}]}', "'window' must be two integers"),
+    ('{"steps": 10, "schedul": [7], "criteria": [{"kind": "convergence"}]}',
+     "plan: unknown key(s) 'schedul'"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
         "rate-fractional-window", "sync-unknown-scope", "fluctuation-sigma-shape",
         "convergence-target-length", "non-integer-schedule", "negative-seed",
-        "misspelt-key", "list-geometric-schedule", "overflowing-steps"])
+        "misspelt-key", "list-geometric-schedule", "overflowing-steps", "fractional-steps",
+        "fractional-replicas", "fractional-seed", "fractional-at", "boolean-steps",
+        "fractional-schedule-time", "infinite-tolerance", "boolean-tolerance",
+        "boolean-window", "misspelt-plan-key"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
@@ -288,6 +322,20 @@ def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     assert rc == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_integral_float_plan_matches_integer_spelling(c5_file, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    reports = []
+    for text in ('{"steps": 400, "replicas": 4, "seed": 3, "schedule": [100, 200],'
+                 ' "criteria": [{"kind": "convergence", "at": 200, "tolerance": 1}]}',
+                 '{"steps": 4e2, "replicas": 4.0, "seed": 3.0, "schedule": [1e2, 200.0],'
+                 ' "criteria": [{"kind": "convergence", "at": 2e2, "tolerance": 1}]}'):
+        plan.write_text(text)
+        assert main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["criteria"][0]["criterion"] == "convergence@t=200"
 
 
 def test_verify_at_off_schedule_is_a_failed_entry(c5_file, tmp_path, capsys):

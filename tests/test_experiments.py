@@ -288,10 +288,28 @@ def test_verify_checks_every_budget_before_any_ensemble_runs(c5, monkeypatch):
             verify(P, plan)
 
 
+def test_verify_runs_one_ensemble_per_checked_budget(c5, monkeypatch):
+    # the stream does not depend on the schedule, so an omitted schedule,
+    # the default written out and its times written out share one ensemble
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["schedule"])
+        return simulate_ensemble(*args, **kwargs)
+    monkeypatch.setattr(experiments, "simulate_ensemble", counting)
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    plan = {"steps": 50, "replicas": 4,
+            "criteria": [{"kind": "convergence", "tolerance": 1},
+                         {"kind": "manifold", "tolerance": 1, "schedule": "geometric(1.2)"},
+                         {"kind": "sync", "tolerance": 1, "schedule": [
+                             1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 22, 26, 31, 38, 46]}]}
+    assert verify(P, plan).overall_pass
+    assert len(calls) == 1
+
+
 def test_readme_plan_and_default_plan_pass_the_plan_checks(c4):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     readme_plan = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
     for plan in (readme_plan, experiments.default_plan()):
         for crit in plan["criteria"]:
-            experiments._check_criterion(crit, 4)
-            experiments._budget(crit, plan, problem(c4))
+            experiments._parse_criterion(crit, plan, problem(c4))
