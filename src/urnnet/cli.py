@@ -287,6 +287,33 @@ def _csv_rows(fmt: str, *cols) -> str:
     return "".join(map(fmt.__mod__, zip(*cols)))
 
 
+def _write_trajectories(fh, raw) -> None:
+    """The rows replica,t,urn,W,T,Z of every snapshot of raw, one fh.write
+    per snapshot, so no file's whole text is held in memory. A row joins
+    four tokens: "replica," and ",urn," made once per run, the snapshot's t,
+    and its (W, T) pair's "W,T,Z" tail. Each distinct pair of a snapshot is
+    found by exact int64 comparison and formatted once, its Z the float64
+    W / T of EnsembleTrajectories.Z."""
+    _, replicas, n = raw.W.shape
+    tokens = np.empty((replicas, n, 4), dtype=object)
+    tokens[..., 0] = np.array(["%d," % r for r in range(replicas)], dtype=object)[:, None]
+    tokens[..., 2] = np.array([",%d," % i for i in range(n)], dtype=object)
+    fh.write("replica,t,urn,W,T,Z\n")
+    for t, W, T in zip(raw.times.tolist(), raw.W, raw.T):
+        W, T = W.ravel(), np.tile(T, replicas)
+        order = np.lexsort((W, T))
+        W, T = W[order], T[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (W[1:] != W[:-1]) | (T[1:] != T[:-1])
+        pair = np.empty_like(order)
+        pair[order] = np.cumsum(first) - 1
+        W, T = W[first], T[first]
+        tails = map("%d,%d,%.12g\n".__mod__, zip(W.tolist(), T.tolist(), (W / T).tolist()))
+        tokens[..., 1] = "%d" % t
+        tokens[..., 3] = np.array(list(tails), dtype=object)[pair].reshape(replicas, n)
+        fh.write("".join(tokens.ravel().tolist()))
+
+
 def cmd_simulate(args) -> int:
     problem, run = _load_problem(args)
     n = problem.g.n
@@ -295,14 +322,8 @@ def cmd_simulate(args) -> int:
     raw = simulate_ensemble(problem, steps, schedule=run.get("schedule"), replicas=replicas)
     times = raw.times.tolist()
     urns = list(range(n))
-    # One snapshot at a time, so no file's whole text is held in memory.
     with _open_out(args.out) as fh:
-        fh.write("replica,t,urn,W,T,Z\n")
-        reps, urn_col = np.repeat(np.arange(replicas), n).tolist(), urns * replicas
-        for k, t in enumerate(times):
-            fh.write(_csv_rows("%d,%d,%d,%d,%d,%.12g\n", reps, repeat(t), urn_col,
-                               raw.W[k].ravel().tolist(), raw.T[k].tolist() * replicas,
-                               raw.Z[k].ravel().tolist()))
+        _write_trajectories(fh, raw)
     if args.stats_out:
         with _open_out(args.stats_out) as fh:
             fh.write("t,urn,mean,var\n")

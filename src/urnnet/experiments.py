@@ -273,7 +273,7 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
              "at": read_number(crit.get("at", budget[0]), "'at'")}
         if kind == "convergence":
             c["written"] = crit.get("target", 0.5)
-            c["target"] = np.asarray(c["written"], float)
+            c["target"] = _read_numbers(c["written"], "'target'")
             if c["target"].shape not in ((), (n,)):
                 raise ConfigError(f"'target' must be a number or {n} numbers")
         if kind == "sync":
@@ -288,7 +288,7 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
                     read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
                                 integer=False))
         if kind == "rate":
-            c["contrast"] = np.asarray(crit.get("contrast"), float)
+            c["contrast"] = _read_numbers(crit.get("contrast"), "'contrast'")
             if c["contrast"].ndim not in (1, 2) or len(c["contrast"]) != n:
                 raise ConfigError(f"'contrast' must be a vector or a matrix with {n} rows")
             w = crit.get("window", (100, budget[0]))
@@ -303,12 +303,21 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
             if crit.get("target") is not None:
                 c["target"] = read_number(crit["target"], "'target'", integer=False)
         if kind == "fluctuation" and "sigma" in crit:
-            c["sigma"] = np.asarray(crit["sigma"], float)
+            c["sigma"] = _read_numbers(crit["sigma"], "'sigma'")
             if c["sigma"].shape != (n, n):
                 raise ConfigError(f"'sigma' must be an {n} x {n} matrix")
     except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind!r} criterion: {exc}") from None
     return c
+
+
+def _read_numbers(value, key: str) -> np.ndarray:
+    """value, a number or nested lists of them, as a float array whose every
+    entry went through read_number: null, a bool or a non-finite entry is a
+    ConfigError naming key, and so is a ragged list."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([read_number(x, key, integer=False) for x in entries.ravel()],
+                    dtype=float).reshape(entries.shape)
 
 
 def _snapshot(c: dict, ensemble) -> tuple:

@@ -173,3 +173,17 @@ def reference_simulate(problem, steps, schedule, replicas, seed):
             t += 1
             snaps[t] = W.copy()
     return np.stack([snaps[int(t)] for t in times])
+
+
+def reference_trajectory_csv(raw) -> str:
+    """simulate --out's text for an EnsembleTrajectories, one %-format per
+    row over whole-column lists: the trajectory writer's row format, kept as
+    the oracle of the writer that formats each distinct (W, T) pair once."""
+    _, R, n = raw.W.shape
+    text = ["replica,t,urn,W,T,Z\n"]
+    for k, t in enumerate(raw.times.tolist()):
+        text += map("%d,%d,%d,%d,%d,%.12g\n".__mod__,
+                    zip(np.repeat(np.arange(R), n).tolist(), [t] * (R * n), list(range(n)) * R,
+                        raw.W[k].ravel().tolist(), raw.T[k].tolist() * R,
+                        raw.Z[k].ravel().tolist()))
+    return "".join(text)

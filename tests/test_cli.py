@@ -1,17 +1,29 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from urnnet.cli import _dumps, main, sig12
+from urnnet.cli import _dumps, _write_trajectories, main, sig12
+from urnnet.dynamics import MODEL_CODES, EnsembleTrajectories, simulate_ensemble
 
-from conftest import C4_EDGES, C5_EDGES, FIG2_EDGES, K2_EDGES, grid_edges
+from conftest import (
+    C4_EDGES,
+    C5_EDGES,
+    FIG2_EDGES,
+    K2_EDGES,
+    grid_edges,
+    problem,
+    random_connected_graph,
+    reference_trajectory_csv,
+)
 
 
 @pytest.fixture
@@ -304,6 +316,20 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      ' "window": [true, 200]}]}', "'window' must be two integers"),
     ('{"steps": 10, "schedul": [7], "criteria": [{"kind": "convergence"}]}',
      "plan: unknown key(s) 'schedul'"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "target": null}]}',
+     "'target' must be a finite number, got None"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "target": NaN}]}',
+     "'target' must be a finite number, got nan"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "target": [true, 0.5, 0.5, 0.5, 0.5]}]}',
+     "'target' must be a finite number, got True"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "target": [0.5, [0.5], 0.5, 0.5, 0.5]}]}',
+     "'target' must be a finite number, got [0.5]"),
+    ('{"steps": 10, "replicas": 2, "criteria": [{"kind": "rate", "contrast": [1, -1, null, 0, 0]}]}',
+     "'contrast' must be a finite number, got None"),
+    ('{"steps": 10, "criteria": [{"kind": "fluctuation", "sigma": %s}]}'
+     % json.dumps([[float("inf") if i == j == 0 else float(i == j) for j in range(5)]
+                   for i in range(5)]),
+     "'sigma' must be a finite number, got inf"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -312,7 +338,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "misspelt-key", "list-geometric-schedule", "overflowing-steps", "fractional-steps",
         "fractional-replicas", "fractional-seed", "fractional-at", "boolean-steps",
         "fractional-schedule-time", "infinite-tolerance", "boolean-tolerance",
-        "boolean-window", "misspelt-plan-key"])
+        "boolean-window", "misspelt-plan-key", "null-target", "nan-target",
+        "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
@@ -322,6 +349,22 @@ def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     assert rc == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_target_reads_entries_and_echoes_the_written_numbers(c5_file, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    entries = {}
+    for target in ("0.5", '"0.5"', "1", "5e-1", "[0.5, 0.5, 0.5, 0.5, 1]"):
+        plan.write_text('{"steps": 50, "replicas": 2, "criteria": [{"kind": "convergence",'
+                        ' "tolerance": 1, "target": %s}]}' % target)
+        assert main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan)]) == 0
+        (entries[target],) = json.loads(capsys.readouterr().out)["criteria"]
+        written = json.loads(target)
+        assert entries[target]["theoretical"] == written
+        assert type(entries[target]["theoretical"]) is type(written)
+    # a decimal string reads as the number it spells
+    assert entries['"0.5"']["empirical"] == entries["0.5"]["empirical"]
+    assert entries["5e-1"]["empirical"] == entries["0.5"]["empirical"]
 
 
 def test_verify_integral_float_plan_matches_integer_spelling(c5_file, tmp_path, capsys):
@@ -509,7 +552,14 @@ def test_analyze_output_is_json_dumps_indent_2(tmp_path, edges, flags, capsys):
       "--steps", "200", "--replicas", "5", "--seed", "13"],
      "2bef08f98dc1a0bcbeafed578115347a0989327fa441bdcd8bb449e1d10a7000",
      "71993090f120200576130ecbe000a7aa42e5db71ef323da057ff18317d91862e"),
-], ids=["c4-ftsr-with", "grid3x3-ptsnr-without", "fig2-ftnr-directed", "c5-ftsnr-with"])
+    # urns of unequal in-degree, whose totals grow by 3 s omega_i a step
+    (FIG2_EDGES, True,
+     ["--model", "ftsnr", "--p", "0.5", "--s", "2", "--c", "3", "--t0", "5", "--w0", "2",
+      "--steps", "60", "--replicas", "5", "--seed", "17", "--schedule", "all"],
+     "51851f6e2e4689f01d8b2f09fe560781dda1de41cf701ffc72c403a1663c0016",
+     "a9d4300d69a3a8aaa64bbc757872d22db83a3a59acfe18dace8fbd6fc282e531"),
+], ids=["c4-ftsr-with", "grid3x3-ptsnr-without", "fig2-ftnr-directed", "c5-ftsnr-with",
+        "fig2-ftsnr-c3-all"])
 def test_simulate_stream_layout_pinned(tmp_path, edges, directed, flags, out_sha,
                                        stats_sha, capsys):
     graph = tmp_path / "g.edges"
@@ -521,3 +571,65 @@ def test_simulate_stream_layout_pinned(tmp_path, edges, directed, flags, out_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
     assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_sha
     capsys.readouterr()
+
+
+BIG = 2 ** 62
+
+
+def _trajectories(times, W, T):
+    return EnsembleTrajectories(np.array(times), np.array(W, dtype=np.int64),
+                                np.array(T, dtype=np.int64))
+
+
+@pytest.mark.parametrize("raw", [
+    # totals near 2^62: distinct integer pairs whose float64 W / T are equal
+    _trajectories([0, 5],
+                  [[[BIG - 2, BIG - 4, 3], [BIG - 3, BIG - 4, 3], [BIG - 2, BIG - 5, 6]],
+                   [[BIG + 7, 1, 3], [BIG + 6, 1, 3], [BIG + 7, 2, 6]]],
+                  [[BIG - 1, BIG - 3, 7], [BIG + 9, BIG + 9, 6]]),
+    # 1/2, 2/4 and 3/6 share a Z token; W = 3 stands over two totals
+    _trajectories([0, 1, 9], [[[1, 2, 3], [2, 2, 3]], [[1, 3, 3], [1, 2, 3]],
+                              [[3, 3, 3], [1, 2, 3]]],
+                  [[2, 4, 6], [2, 4, 7], [6, 6, 6]]),
+    # one replica, one snapshot, two urns; Python's exact int / int would
+    # print these Z one digit off from the float64 W / T
+    _trajectories([4], [[[1646135207524525676, 3217035058040930602]]],
+                  [[4611686718665987761, 4611687039954444366]]),
+], ids=["beyond-2^53", "shared-z-token", "r1-k1-n2"])
+def test_trajectory_writer_matches_row_format(raw):
+    fh = io.StringIO()
+    _write_trajectories(fh, raw)
+    assert fh.getvalue() == reference_trajectory_csv(raw)
+
+
+def test_simulate_out_to_stdout_matches_row_format(c5, c5_file, capsys):
+    assert main(["simulate", "--graph", c5_file, "--model", "ptnr", "--p", "0.3",
+                 "--steps", "30", "--replicas", "3", "--seed", "4"]) == 0
+    raw = simulate_ensemble(problem(c5, "ptnr", p=0.3, seed=4), 30, replicas=3)
+    assert capsys.readouterr().out == reference_trajectory_csv(raw)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(MODEL_CODES)),
+       st.sampled_from(["with", "without"]), st.integers(1, 6), st.integers(0, 40),
+       st.sampled_from(["all", "geometric(1.5)", "times"]))
+def test_simulate_out_matches_row_format(seed, code, sampling, replicas, steps, schedule):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng)
+    if schedule == "times":
+        schedule = ",".join(map(str, sorted(set(rng.integers(0, steps + 1, 3).tolist()))))
+    p, C, t0 = float(rng.random()), int(rng.integers(1, 4)), int(rng.integers(3, 9))
+    w0 = int(rng.integers(1, t0))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, out = os.path.join(tmp, "g.edges"), os.path.join(tmp, "t.csv")
+        with open(graph, "w") as fh:
+            fh.write("".join("%d %d\n" % e for e in g.edges))
+        assert main(["simulate", "--graph", graph, "--model", code, "--p", repr(p),
+                     "--c", str(C), "--t0", str(t0), "--w0", str(w0), "--sampling", sampling,
+                     "--seed", str(seed), "--steps", str(steps), "--replicas", str(replicas),
+                     "--schedule", schedule, "--out", out]) == 0
+        with open(out) as fh:
+            text = fh.read()
+    P = problem(g, code, p=p, C=C, t0=t0, w0=w0, sampling=sampling, seed=seed)
+    raw = simulate_ensemble(P, steps, schedule=schedule, replicas=replicas)
+    assert text == reference_trajectory_csv(raw)
