@@ -271,13 +271,14 @@ def cmd_analyze(args) -> int:
             report["fluctuation"] = {"unavailable": str(exc)}
     else:
         report["fluctuation"] = None
-    if sd.theta is not None and sd.diagonalizable and not np.iscomplexobj(sd.eigenvalues):
+    if sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
         dp = theory.decay_exponents(sd)
         report["decay"] = {
             "mean_exponent": sig12(dp.mean_exponent),
             "variance_exponent": sig12(dp.variance_exponent),
             "log_correction": dp.log_correction,
         }
+    del problem  # the report holds what it prints; free A, ADi and R before the peak step
     _write_text(args.out, _dumps(report) + "\n")
     return EXIT_OK
 

@@ -7,8 +7,8 @@ in-degree zero are rejected at construction.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,11 +35,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Validated edge-list graph. Immutable; safe to share across threads."""
+    """Validated edge-list graph. Immutable; safe to share across threads.
+    Its one adjacency, the in-neighbour lists, is built once on first use."""
 
     n: int
     edges: tuple
     directed: bool
+
+    @cached_property
+    def in_neighbours(self):
+        """(flat, deg) in-neighbour lists; see in_neighbours()."""
+        return _in_neighbour_lists(self.n, self.edges, both_ways=not self.directed)
+
+    @cached_property
+    def _two_colouring(self):
+        """BFS 2-colouring of the undirected view from vertex 0: (colour,
+        bipartite). colour[v] is -1 for a vertex the search never reached."""
+        if self.directed:
+            return _two_colour(*_in_neighbour_lists(self.n, self.edges, both_ways=True))
+        return _two_colour(*self.in_neighbours)
 
 
 @dataclass(frozen=True)
@@ -50,15 +64,15 @@ class GraphAnalysis:
     bipartition: Optional[tuple] = None  # (frozenset V, frozenset W), 0 in V
     regular_degree: Optional[int] = None
     scc_order: Optional[tuple] = None  # SCCs in topological order (directed)
-    g1_is_odd_cycle: Optional[bool] = None
+    g1_is_odd_cycle: Optional[bool] = None  # every source SCC is an odd cycle
 
 
-def parse_edge_list(text: str, directed: bool, n: Optional[int] = None) -> GraphSpec:
+def parse_edge_list(text: str, directed: bool) -> GraphSpec:
     """Parse a whitespace-separated "u v" edge list into a GraphSpec.
 
     Lines starting with '#' and blank lines are ignored. Duplicate edges
-    collapse to one; undirected inputs accept either orientation. When n is
-    omitted it is inferred as max index + 1.
+    collapse to one; undirected inputs accept either orientation. The vertex
+    count is max index + 1, so every vertex below it must have an edge.
     """
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,20 +90,17 @@ def parse_edge_list(text: str, directed: bool, n: Optional[int] = None) -> Graph
     if not pairs:
         raise EmptyGraphError()
 
-    bound = max(max(u, v) for u, v in pairs) + 1
-    if n is None:
-        n = bound
+    n = max(map(max, pairs)) + 1
     for u, v in pairs:
         if u == v:
             raise SelfLoopError(u)
-        for x in (u, v):
-            if x < 0 or x >= n:
-                raise IndexOutOfRangeError(x, n)
+        if u < 0 or v < 0:
+            raise IndexOutOfRangeError(u if u < 0 else v, n)
 
     if directed:
         edges = tuple(sorted(set(pairs)))
     else:
-        edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+        edges = tuple(sorted({(u, v) if u < v else (v, u) for u, v in pairs}))
 
     g = GraphSpec(n=n, edges=edges, directed=directed)
     _validate(g)
@@ -103,41 +114,43 @@ def load_edge_file(path, directed: bool) -> GraphSpec:
 
 
 def _validate(g: GraphSpec) -> None:
-    if g.n < 2:
-        raise EmptyGraphError("need at least 2 vertices")
-    adj = _undirected_adjacency_sets(g)
-    seen = _bfs_component(adj, 0)
-    if len(seen) != g.n:
+    if -1 in g._two_colouring[0]:
         if g.directed:
             raise NotWeaklyConnectedError()
         raise NotConnectedError()
     if g.directed:
-        indeg = [0] * g.n
-        for _, v in g.edges:
-            indeg[v] += 1
-        for v, d in enumerate(indeg):
-            if d == 0:
-                raise ZeroInDegreeError(v)
+        zero = np.flatnonzero(g.in_neighbours[1] == 0)
+        if zero.size:
+            raise ZeroInDegreeError(int(zero[0]))
 
 
-def _undirected_adjacency_sets(g: GraphSpec) -> list:
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _in_neighbour_lists(n: int, edges: tuple, both_ways: bool):
+    """(flat, deg) read-only in-neighbour lists of the arcs (u, v) in edges,
+    and of their reverses too when both_ways."""
+    src, dst = (np.array(ends, dtype=np.int64) for ends in zip(*edges))
+    if both_ways:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    flat, deg = src[np.lexsort((src, dst))], np.bincount(dst, minlength=n)
+    flat.flags.writeable = deg.flags.writeable = False
+    return flat, deg
 
 
-def _bfs_component(adj, root) -> set:
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+def _two_colour(flat: np.ndarray, deg: np.ndarray):
+    """BFS 2-colouring of symmetric neighbour lists from vertex 0."""
+    flat, ends = flat.tolist(), np.cumsum(deg).tolist()
+    starts = [0] + ends[:-1]
+    colour = [-1] * len(ends)
+    colour[0] = 0
+    bipartite = True
+    queue = [0]
+    for u in queue:  # the queue grows as the search reaches new vertices
+        for v in flat[starts[u]:ends[u]]:
+            if colour[v] == -1:
+                colour[v] = 1 - colour[u]
                 queue.append(v)
-    return seen
+            elif colour[v] == colour[u]:
+                bipartite = False
+    return colour, bipartite
 
 
 def matrices(g: GraphSpec) -> np.ndarray:
@@ -147,11 +160,9 @@ def matrices(g: GraphSpec) -> np.ndarray:
     (in-degrees on directed graphs), which in_neighbours() counts without
     building the n x n matrix.
     """
+    flat, deg = g.in_neighbours
     A = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        A[u, v] = 1.0
-        if not g.directed:
-            A[v, u] = 1.0
+    A[flat, np.repeat(np.arange(g.n), deg)] = 1.0
     return A
 
 
@@ -160,56 +171,32 @@ def in_neighbours(g: GraphSpec):
 
     deg[v] is the in-degree of v (the degree when undirected), positive on a
     validated graph. The in-neighbours of v are flat[o:o + deg[v]] in
-    ascending order, with o = deg[:v].sum().
+    ascending order, with o = deg[:v].sum(). Built once per GraphSpec and
+    shared by every reader, so callers must not write to the arrays.
     """
-    e = np.asarray(g.edges, dtype=np.int64)
-    src, dst = e[:, 0], e[:, 1]
-    if not g.directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    order = np.lexsort((src, dst))
-    return src[order], np.bincount(dst, minlength=g.n)
+    return g.in_neighbours
 
 
 def analyze_graph(g: GraphSpec) -> GraphAnalysis:
     """Classify a graph: bipartiteness, regularity, SCC structure."""
     if g.directed:
-        sccs = _tarjan_sccs(g)
-        order = _topological_scc_order(g, sccs)
-        first = order[0]
+        order, sources_odd = _topological_scc_order(g, _tarjan_sccs(g))
         return GraphAnalysis(
             connected=True,
             bipartition=None,
             regular_degree=None,
             scc_order=tuple(frozenset(c) for c in order),
-            g1_is_odd_cycle=_is_odd_directed_cycle(g, first),
+            g1_is_odd_cycle=sources_odd,
         )
 
-    adj = _undirected_adjacency_sets(g)
-    colour = _two_colour(adj)
+    colour, bipartite = g._two_colouring
     bipartition = None
-    if colour is not None:
-        V = frozenset(i for i in range(g.n) if colour[i] == colour[0])
+    if bipartite:
+        V = frozenset(i for i in range(g.n) if colour[i] == 0)
         bipartition = (V, frozenset(range(g.n)) - V)
-    degs = [len(adj[v]) for v in range(g.n)]
-    regular = degs[0] if len(set(degs)) == 1 else None
+    deg = g.in_neighbours[1]
+    regular = int(deg[0]) if np.all(deg == deg[0]) else None
     return GraphAnalysis(connected=True, bipartition=bipartition, regular_degree=regular)
-
-
-def _two_colour(adj) -> Optional[list]:
-    """BFS 2-colouring; None when an odd cycle obstructs it."""
-    n = len(adj)
-    colour = [-1] * n
-    colour[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if colour[v] == -1:
-                colour[v] = 1 - colour[u]
-                queue.append(v)
-            elif colour[v] == colour[u]:
-                return None
-    return colour
 
 
 def _tarjan_sccs(g: GraphSpec) -> list:
@@ -262,26 +249,27 @@ def _tarjan_sccs(g: GraphSpec) -> list:
     return sccs
 
 
-def _topological_scc_order(g: GraphSpec, sccs) -> list:
-    """Order SCCs so every cross-component edge goes forward."""
+def _topological_scc_order(g: GraphSpec, sccs):
+    """Order SCCs so every cross-component edge goes forward, and tell
+    whether every source component (one that no edge enters from another
+    component; G1 is one) is a single directed cycle of odd length."""
     order = list(reversed(sccs))
-    comp_of = {}
+    comp_of = [0] * g.n
     for i, comp in enumerate(order):
         for v in comp:
             comp_of[v] = i
+    inner = [0] * len(order)
+    entered = [False] * len(order)
     for u, v in g.edges:
-        if comp_of[u] > comp_of[v]:
+        cu, cv = comp_of[u], comp_of[v]
+        if cu == cv:
+            inner[cu] += 1
+        elif cu > cv:
             raise AssertionError("SCC order violates an edge; Tarjan bug")
-    return order
-
-
-def _is_odd_directed_cycle(g: GraphSpec, comp) -> bool:
-    """True iff the component is a single directed cycle of odd length."""
-    if len(comp) < 3 or len(comp) % 2 == 0:
-        return False
-    out_in = {v: [0, 0] for v in comp}
-    for u, v in g.edges:
-        if u in comp and v in comp:
-            out_in[u][0] += 1
-            out_in[v][1] += 1
-    return all(o == 1 and i == 1 for o, i in out_in.values())
+        else:
+            entered[cv] = True
+    # an SCC on k >= 2 vertices has at least k inner edges, and exactly k
+    # only when it is a single directed cycle
+    sources_odd = all(len(comp) % 2 == 1 and inner[i] == len(comp)
+                      for i, comp in enumerate(order) if not entered[i])
+    return order, sources_odd

@@ -44,8 +44,6 @@ def eigendecompose(problem: Problem) -> SpectralData:
     above 1e10 is flagged diagonalizable=False.
     """
     A, Ddiag = problem.A, problem.deg
-    if np.any(Ddiag <= 0):
-        raise ValueError("degree vector must be strictly positive")
     n = A.shape[0]
 
     try:
@@ -80,14 +78,13 @@ def _zero_first_order(eig: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(eig)), key=lambda i: keys[i]))
 
 
-def nullspace(M: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the left null space {x : x M = 0}.
 
     Row-vector convention: returns an array of shape (n - rank, n) whose rows
-    x satisfy x @ M ~ 0.
+    x satisfy x @ M ~ 0, counting singular values up to 1e-9 n max|M| as zero.
     """
-    if tol is None:
-        tol = 1e-9 * M.shape[0] * max(np.max(np.abs(M)) if M.size else 0.0, 1e-300)
+    tol = 1e-9 * M.shape[0] * max(np.max(np.abs(M)) if M.size else 0.0, 1e-300)
     U, sv, _ = np.linalg.svd(M)
     null_mask = np.concatenate([sv <= tol, np.ones(M.shape[0] - len(sv), bool)])
     return U[:, null_mask].T.conj()

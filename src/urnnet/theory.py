@@ -10,8 +10,8 @@ limit manifold.
 The stationary covariance of sqrt(t) (Z_t - 1/2 1) solves the Lyapunov
 equation (K + I/2)^T Sigma + Sigma (K + I/2) = -Gamma_eff, where Gamma_eff
 is the covariance of the martingale noise as it enters the recursion,
-(1/4s) * Mrec^T Mrec with Mrec = (eta I + kappa A) Omega^-1. On regular
-graphs (A D^-1 symmetric) this has explicit closed forms:
+(1/4s) R^T R with the reinforcement matrix R = (eta I + kappa A) Omega^-1.
+On regular graphs (A D^-1 symmetric) this has explicit closed forms:
 
     self-reinforcement:       Sigma = (1/4s) [(2p+1) I + 2(1-p) A D^-1]^-1
     neighbour-reinforcement:  Sigma = (1/4s) (A D^-1)^2 [I + 2p A D^-1 + 2(1-p)(A D^-1)^2]^-1
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _CRITICAL_TOL = 1e-9
+_RESIDUAL_TOL = 1e-8
 _NEAR_CRITICAL_BAND = 0.05
 _SIGN_MAX_ITER = 50
 
@@ -146,7 +147,7 @@ class Problem:
     Each derived object is computed on first use and cached, so every entry
     point reads the same adjacency, spectrum, drift and classification. The
     simulator reads only the O(n + edges) members (in_neighbours, params);
-    the dense A is built for theory and spectral work alone.
+    the dense A, ADi and R are built for theory and spectral work alone.
     """
 
     g: GraphSpec
@@ -158,7 +159,7 @@ class Problem:
 
     @cached_property
     def in_neighbours(self):
-        """(flat, deg) in-neighbour lists; see graphs.in_neighbours."""
+        """(flat, deg) in-neighbour lists, the graph's own; see graphs.in_neighbours."""
         return in_neighbours(self.g)
 
     @cached_property
@@ -191,6 +192,13 @@ class Problem:
         return Params(1, 1, deg + 1)
 
     @cached_property
+    def R(self) -> np.ndarray:
+        """The reinforcement matrix (eta I + kappa A) Omega^-1: entry (j, i)
+        weighs urn j's draw in the update of urn i's fraction."""
+        eta, kappa, omega = self.params
+        return (eta * np.eye(self.g.n) + kappa * self.A) / omega[None, :].astype(float)
+
+    @cached_property
     def analysis(self) -> GraphAnalysis:
         return analyze_graph(self.g)
 
@@ -214,19 +222,14 @@ class Problem:
 def drift_model(problem: Problem) -> DriftModel:
     """Assemble h(z) = b + zK for the six scheme/neighbourhood cases.
 
-    Directed graphs enter through the in-degrees, which is what problem.deg
-    holds.
+    The transfer matrix is T = P~ R with P~ = p I + (1-p) A D^-1 the sampling
+    matrix; self-reinforcement has R = I, so T = P~. Directed graphs enter
+    through the in-degrees, which is what problem.deg holds.
     """
-    cfg, A, deg, ADi = problem.cfg, problem.A, problem.deg, problem.ADi
-    n = problem.g.n
+    cfg, n = problem.cfg, problem.g.n
     I = np.eye(n)
-    Ptil = cfg.p * I + (1.0 - cfg.p) * ADi
-    if cfg.neighbourhood == "self":
-        T = Ptil
-    elif cfg.neighbourhood == "neighbour":
-        T = Ptil @ ADi
-    else:
-        T = Ptil @ ((A + I) / (deg + 1.0)[None, :])  # (A+I)(I+D)^-1, column stochastic
+    Ptil = cfg.p * I + (1.0 - cfg.p) * problem.ADi
+    T = Ptil if cfg.neighbourhood == "self" else Ptil @ problem.R
 
     if cfg.scheme == "polya":
         return DriftModel(b=np.zeros(n), K=T - I)
@@ -266,15 +269,16 @@ def _param_box(particular: np.ndarray, basis: np.ndarray) -> Optional[np.ndarray
     return box
 
 
-def limit_set(dm: DriftModel, tol: float = 1e-8) -> LimitSet:
-    """Solve b + zK = 0: particular solution plus left-null directions of K."""
+def limit_set(dm: DriftModel) -> LimitSet:
+    """Solve b + zK = 0 (residual below 1e-8): particular solution plus
+    left-null directions of K."""
     n = dm.K.shape[0]
     half = np.full(n, 0.5)
-    if np.max(np.abs(dm(half))) < tol:
+    if np.max(np.abs(dm(half))) < _RESIDUAL_TOL:
         particular = half
     else:
         particular, *_ = np.linalg.lstsq(dm.K.T, -dm.b, rcond=None)
-        if np.max(np.abs(dm(particular))) > tol:
+        if np.max(np.abs(dm(particular))) > _RESIDUAL_TOL:
             raise InconsistentDriftError(
                 f"no solution of h(z)=0 (residual {np.max(np.abs(dm(particular))):.2e})")
     basis = np.real_if_close(nullspace(dm.K))
@@ -361,12 +365,11 @@ def noise_covariance(problem: Problem) -> np.ndarray:
     """Covariance of the noise term driving the recursion.
 
     The per-urn sampling noise has covariance Gamma = I/(4s) in the limit;
-    it enters the state recursion through Mrec = (eta I + kappa A) Omega^-1,
-    so the effective covariance is (1/4s) Mrec^T Mrec.
+    it enters the state recursion through the reinforcement matrix problem.R,
+    so the effective covariance is (1/4s) R^T R.
     """
-    eta, kappa, omega = problem.params
-    Mrec = (eta * np.eye(problem.g.n) + kappa * problem.A) / omega[None, :].astype(float)
-    return Mrec.T @ Mrec / (4.0 * problem.cfg.s)
+    R = problem.R
+    return R.T @ R / (4.0 * problem.cfg.s)
 
 
 def sigma_lyapunov(problem: Problem) -> np.ndarray:
@@ -411,7 +414,8 @@ def fluctuation(problem: Problem) -> FluctuationReport:
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 
     n, ADi = g.n, problem.ADi
-    symmetric = not g.directed and np.allclose(ADi, ADi.T, atol=1e-12)
+    # A D^-1 is symmetric exactly when the (connected, undirected) graph is regular
+    symmetric = problem.analysis.regular_degree is not None
     rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)
 

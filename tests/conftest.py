@@ -12,6 +12,11 @@ P3_EDGES = "0 1\n1 2"
 FIG2_EDGES = "0 1\n1 0\n0 2\n2 3\n3 4\n4 2"
 C3_DIRECTED_EDGES = "0 1\n1 2\n2 0"
 
+# isomorphic graphs with two source components, a 2-cycle and a 3-cycle, and
+# a common sink: the classification must not depend on the labels
+MULTI_SOURCE_ARCS = [(3, 4), (4, 3), (0, 1), (1, 2), (2, 0), (0, 5), (3, 5)]
+MULTI_SOURCE_RELABELLED = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (0, 5), (2, 5)]
+
 
 def problem(g, code="ftsr", p=0.5, s=2, C=1, t0=4, w0=None, sampling="with", seed=0):
     """Problem on g for a model code with scalar (broadcast) initial composition."""
@@ -105,6 +110,54 @@ def random_directed_graph(rng: np.random.Generator, max_n=8):
         arcs.add((u, v))
     text = "\n".join(f"{u} {v}" for u, v in sorted(arcs))
     return parse_edge_list(text, directed=True)
+
+
+def random_multi_component_arcs(rng: np.random.Generator, max_cycles=3, zero_in=0):
+    """Arcs of a random weakly connected directed graph with several strongly
+    connected components, relabelled at random: disjoint directed cycles of
+    2-4 vertices (some with a chord), forward arcs from earlier to later
+    cycles, sink vertices fed from the cycles, and `zero_in` extra vertices
+    with out-arcs only (in-degree zero). A cycle that no forward arc enters
+    is a source component, so there are often several."""
+    cycles, arcs, n = [], set(), 0
+    for _ in range(int(rng.integers(1, max_cycles + 1))):
+        size = int(rng.integers(2, 5))
+        cyc = list(range(n, n + size))
+        n += size
+        arcs |= {(cyc[i], cyc[(i + 1) % size]) for i in range(size)}
+        if size > 2 and rng.random() < 0.3:
+            u, v = rng.choice(cyc, size=2, replace=False)
+            arcs.add((int(u), int(v)))
+        cycles.append(cyc)
+
+    def vertex(cycs):
+        return int(rng.choice(cycs[int(rng.integers(len(cycs)))]))
+
+    for i in range(1, len(cycles)):
+        # join cycle i to an earlier one: a forward arc into it, or a shared sink
+        if rng.random() < 0.5:
+            arcs.add((vertex(cycles[:i]), vertex(cycles[i:i + 1])))
+        else:
+            arcs |= {(vertex(cycles[:i]), n), (vertex(cycles[i:i + 1]), n)}
+            n += 1
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(0, len(cycles)))
+        j = int(rng.integers(0, len(cycles)))
+        if i < j:
+            arcs.add((vertex(cycles[i:i + 1]), vertex(cycles[j:j + 1])))
+    for _ in range(int(rng.integers(0, 3))):
+        arcs |= {(vertex(cycles), n) for _ in range(int(rng.integers(1, 3)))}
+        n += 1
+    for _ in range(zero_in):
+        arcs.add((n, int(rng.integers(0, n))))
+        n += 1
+    label = rng.permutation(n)
+    return sorted((int(label[u]), int(label[v])) for u, v in arcs)
+
+
+def digraph(arcs):
+    """Parse a list of (tail, head) arcs as a directed GraphSpec."""
+    return parse_edge_list("\n".join(f"{u} {v}" for u, v in arcs), directed=True)
 
 
 def draw_batch(problem, W, T, rng, ndraws: int):

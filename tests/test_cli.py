@@ -529,6 +529,68 @@ def test_analyze_output_is_json_dumps_indent_2(tmp_path, edges, flags, capsys):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+_THEOREMS = {"fu": "friedman_unique", "fb": "friedman_bipartite_partial_sync",
+             "pr": "polya_regular_sync", "p2": "polya_bipartite_two_param",
+             "du": "directed_friedman_unique", "dg": "directed_general", "--": "unknown"}
+_PINNED_CODES = [(code, p) for code in ("ftsr", "ftnr", "ftsnr", "ptsr", "ptnr", "ptsnr")
+                 for p in ("0", "0.5", "1")]
+
+
+# The integer and bool blocks of `analyze`, which do not depend on the BLAS
+# build: `graph` (edges checked against the input), the assumption flags
+# (connected, bipartite, regular, uniform_t0, diagonalizable[, g1_odd_cycle])
+# and the theorem of each model at p = 0, 0.5, 1, in _PINNED_CODES order.
+@pytest.mark.parametrize("edges,directed,graph,checks,theorems", [
+    (K2_EDGES, False,
+     {"n": 2, "degrees": [1, 1], "bipartition": [[0], [1]], "regular_degree": 1}, "11111",
+     "fb fu fu  fu fu fb  fu fu fu  pr pr --  p2 pr pr  pr pr pr"),
+    ("0 1\n1 2", False,
+     {"n": 3, "degrees": [1, 2, 1], "bipartition": [[0, 2], [1]]}, "11011",
+     "fb fu fu  fu fu fb  fu fu fu  pr pr --  -- -- --  -- -- --"),
+    (C4_EDGES, False,
+     {"n": 4, "degrees": [2] * 4, "bipartition": [[0, 2], [1, 3]], "regular_degree": 2}, "11111",
+     "fb fu fu  fu fu fb  fu fu fu  pr pr --  p2 pr pr  pr pr pr"),
+    (C5_EDGES, False, {"n": 5, "degrees": [2] * 5, "regular_degree": 2}, "10111",
+     "fu fu fu  fu fu fu  fu fu fu  pr pr --  pr pr pr  pr pr pr"),
+    (grid_edges(5, 5), False,
+     {"n": 25, "degrees": [2, 3, 3, 3, 2] + [3, 4, 4, 4, 3] * 3 + [2, 3, 3, 3, 2],
+      "bipartition": [list(range(0, 25, 2)), list(range(1, 25, 2))]}, "11011",
+     "fb fu fu  fu fu fb  fu fu fu  pr pr --  -- -- --  -- -- --"),
+    ("0 1\n0 2\n0 3\n0 4\n0 5", False,
+     {"n": 6, "degrees": [5, 1, 1, 1, 1, 1], "bipartition": [[0], [1, 2, 3, 4, 5]]}, "11011",
+     "fb fu fu  fu fu fb  fu fu fu  pr pr --  -- -- --  -- -- --"),
+    (FIG2_EDGES, True,
+     {"n": 5, "degrees": [1, 1, 2, 1, 1], "scc_order": [[0, 1], [2, 3, 4]],
+      "g1_is_odd_cycle": False}, "100110",
+     "dg du du  -- du dg  du du du  -- -- --  -- -- --  -- -- --"),
+    ("0 1\n1 2\n2 0", True,
+     {"n": 3, "degrees": [1, 1, 1], "scc_order": [[0, 1, 2]], "g1_is_odd_cycle": True}, "100111",
+     "du du du  -- du du  du du du  -- -- --  -- -- --  -- -- --"),
+    ("0 1\n0 2\n1 3\n2 0", True,
+     {"n": 4, "degrees": [1, 1, 1, 1], "scc_order": [[0, 2], [1], [3]],
+      "g1_is_odd_cycle": False}, "100100",
+     "-- du du  -- du --  du du du  -- -- --  -- -- --  -- -- --"),
+], ids=["k2", "p3", "c4", "c5", "grid5x5", "star", "fig2", "c3-directed", "defective"])
+def test_analyze_graph_and_classification_pinned(tmp_path, edges, directed, graph, checks,
+                                                 theorems, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(edges + "\n")
+    pairs = {tuple(int(x) for x in line.split()) for line in edges.splitlines()}
+    if not directed:
+        pairs = {(min(e), max(e)) for e in pairs}
+    want_graph = {"directed": directed, "edges": sorted(map(list, pairs)), "bipartition": None,
+                  "regular_degree": None, "scc_order": None, "g1_is_odd_cycle": None, **graph}
+    names = ["connected", "bipartite", "regular", "uniform_t0", "diagonalizable", "g1_odd_cycle"]
+    want_checks = [[name, flag == "1"] for name, flag in zip(names, checks)]
+    for (code, p), short in zip(_PINNED_CODES, theorems.split()):
+        rc, rep = run_json(["analyze", "--graph", str(path), "--model", code, "--p", p]
+                           + (["--directed"] if directed else []), capsys)
+        assert rc == 0
+        assert rep["graph"] == want_graph
+        assert rep["classification"] == {"applicable_theorem": _THEOREMS[short],
+                                         "assumptions_checked": want_checks}, (code, p)
+
+
 # SHA-256 of `simulate --out` and `--stats-out`. The RNG stream layout is part
 # of the determinism contract, so a change to it must show up here.
 @pytest.mark.parametrize("edges,directed,flags,out_sha,stats_sha", [

@@ -10,9 +10,18 @@ from urnnet.errors import (
     SelfLoopError,
     ZeroInDegreeError,
 )
-from urnnet.graphs import analyze_graph, in_neighbours, parse_edge_list
+from urnnet.graphs import analyze_graph, in_neighbours, matrices, parse_edge_list
 
-from conftest import FIG2_EDGES, in_neighbours_oracle, problem, random_connected_graph
+from conftest import (
+    FIG2_EDGES,
+    MULTI_SOURCE_ARCS,
+    MULTI_SOURCE_RELABELLED,
+    digraph,
+    in_neighbours_oracle,
+    problem,
+    random_connected_graph,
+    random_multi_component_arcs,
+)
 
 
 def test_parse_single_edge():
@@ -52,9 +61,9 @@ def test_parse_rejects(text, directed, err):
         parse_edge_list(text, directed=directed)
 
 
-def test_parse_explicit_n_out_of_range():
+def test_parse_negative_index_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
-        parse_edge_list("0 5", directed=False, n=3)
+        parse_edge_list("0 -1", directed=False)
 
 
 def test_matrices_k2(k2):
@@ -151,3 +160,63 @@ def test_in_neighbours_directed(fig2):
 def test_graphspec_immutable(c4):
     with pytest.raises(Exception):
         c4.n = 7
+
+
+def _reachability(n, arcs):
+    """reach[u, v]: v is reachable from u by a directed path of length >= 0."""
+    reach = np.eye(n, dtype=bool)
+    for u, v in arcs:
+        reach[u, v] = True
+    for k in range(n):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return reach
+
+
+def _sources_are_odd_cycles(arcs, comps):
+    """Every SCC that no arc enters from another SCC is one odd directed cycle."""
+    for comp in comps:
+        if any(v in comp and u not in comp for u, v in arcs):
+            continue
+        inner = [(u, v) for u, v in arcs if u in comp and v in comp]
+        outs = sorted(u for u, _ in inner)
+        if len(comp) % 2 == 0 or outs != sorted(comp) or sorted(v for _, v in inner) != outs:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_scc_order_is_the_condensation(seed):
+    arcs = random_multi_component_arcs(np.random.default_rng(seed))
+    g = digraph(arcs)
+    ga = analyze_graph(g)
+    comps = ga.scc_order
+    assert sorted(v for c in comps for v in c) == list(range(g.n))
+    reach = _reachability(g.n, arcs)
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    for u, v in arcs:
+        assert comp_of[u] <= comp_of[v]
+    # strongly connected and maximal: same component iff mutually reachable
+    assert np.array_equal(reach & reach.T,
+                          np.equal.outer([comp_of[v] for v in range(g.n)],
+                                         [comp_of[v] for v in range(g.n)]))
+    assert ga.g1_is_odd_cycle == _sources_are_odd_cycles(arcs, comps)
+    assert sorted(zip(*np.nonzero(matrices(g)))) == arcs
+
+
+@pytest.mark.parametrize("arcs", [MULTI_SOURCE_ARCS, MULTI_SOURCE_RELABELLED])
+def test_g1_odd_cycle_needs_every_source_component(arcs):
+    ga = analyze_graph(digraph(arcs))
+    assert len(ga.scc_order) == 3
+    assert ga.g1_is_odd_cycle is False  # the 2-cycle is a source component too
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_zero_in_degree_names_the_smallest_such_vertex(seed, zero_in):
+    arcs = random_multi_component_arcs(np.random.default_rng(seed), zero_in=zero_in)
+    heads = {v for _, v in arcs}
+    n = 1 + max(max(a) for a in arcs)
+    with pytest.raises(ZeroInDegreeError) as err:
+        digraph(arcs)
+    assert err.value.vertex == min(set(range(n)) - heads)

@@ -17,7 +17,16 @@ from urnnet.theory import (
     stability,
 )
 
-from conftest import expected_chi, problem, random_connected_graph, random_directed_graph
+from conftest import (
+    MULTI_SOURCE_ARCS,
+    MULTI_SOURCE_RELABELLED,
+    digraph,
+    expected_chi,
+    problem,
+    random_connected_graph,
+    random_directed_graph,
+    random_multi_component_arcs,
+)
 
 ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
 # directed graph whose Jacobian is defective for every Friedman model at
@@ -201,6 +210,26 @@ def test_classify_unique_iff_limit_set_is_point(c4, c5, p3, grid33):
                 if r.applicable_theorem == "friedman_unique":
                     assert r.predicted_limit.kind == "unique_point"
                     assert np.allclose(r.predicted_limit.particular, 0.5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1).map(
+           lambda seed: random_multi_component_arcs(np.random.default_rng(seed))),
+       st.sampled_from(["ftsr", "ftnr", "ftsnr"]), st.sampled_from([0.0, 0.5, 1.0]))
+@example(MULTI_SOURCE_ARCS, "ftsr", 0.0)
+@example(MULTI_SOURCE_RELABELLED, "ftsr", 0.0)
+def test_directed_unique_theorem_has_the_point_limit_half(arcs, code, p):
+    r = classify(problem(digraph(arcs), code, p))
+    if r.applicable_theorem.endswith("_unique"):
+        assert r.predicted_limit.kind == "unique_point"
+        assert np.allclose(r.predicted_limit.particular, 0.5)
+
+
+def test_multi_source_classification_is_label_free():
+    for arcs in (MULTI_SOURCE_ARCS, MULTI_SOURCE_RELABELLED):
+        r = classify(problem(digraph(arcs), "ftsr", 0.0))
+        assert r.applicable_theorem == "directed_general"
+        assert r.predicted_limit.kind == "one_parameter"
 
 
 # --- fluctuation covariances ----------------------------------------------
