@@ -2,9 +2,12 @@
 
 Exit codes: 0 success (verify: all criteria pass), 1 verification failure,
 2 usage/config error, 3 I/O error. All reports are pure functions of the
-input files and flags. The analyze and verify reports go through one JSON
-writer, _dumps: byte for byte json.dumps(report, indent=2), with arrays as
-row-major lists at 12 significant digits, each distinct value formatted once.
+input files and flags. The analyze and verify reports are built whole, then
+streamed through one JSON writer, _dump: byte for byte
+json.dumps(report, indent=2), with arrays as row-major lists at 12
+significant digits, each distinct value formatted once. It writes one piece
+per item and one per leaf row of an array, and at any moment holds, beside
+the report, one array's inverse index and its distinct values' lines.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import count, repeat
 from typing import Optional
 
 import numpy as np
@@ -30,50 +33,87 @@ def sig12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _dumps_array(a: np.ndarray, pad: str) -> str:
-    """_dumps of a (ndim >= 1) as nested lists of sig12 values. Each
-    distinct value is formatted once: distinct by bit pattern first, since
-    -0.0 == 0.0 but the two print differently, then distinct after rounding."""
-    bits, inv = np.unique(np.asarray(a, float).ravel().view(np.int64), return_inverse=True)
-    rounded = ("%.12g " * len(bits) % tuple(bits.view(float).tolist())).split()
-    distinct = list(dict.fromkeys(rounded))
-    token = dict(zip(distinct, json.dumps(list(map(float, distinct)))[1:-1].split(", ")))
+# The longest number token: a sign, 12 digits, a point and a three-digit
+# exponent. repr writes 1e15 <= |x| < 1e16 positionally in as many characters
+# ("-1234567890120000.0"), and NaN and the infinities are shorter.
+_TOKEN_WIDTH = len("-1.23456789012e-308")
+# Distinct values formatted per step of _dump_array: bounds its temporaries.
+_CHUNK = 4096
 
-    def nest(tokens, pad):
+
+def _dump_array(a: np.ndarray, write, pad: str, lead: str) -> None:
+    """_dump of a (ndim >= 1) as nested lists of sig12 values, one write per
+    leaf row. Each distinct value is formatted once, _CHUNK at a time, into
+    one fixed-width bytes array whose entries hold a value's whole line: its
+    indentation, its token and ",\n", NUL-padded. Values are distinct by bit
+    pattern first (-0.0 == 0.0, but the two print differently), then after
+    rounding; np.unique sorts them, so values that round alike are adjacent
+    and a chunk boundary splits at most one such run. A leaf row is the bytes
+    of its entries, picked through the inverse index, without the padding."""
+    bits, inv = np.unique(np.asarray(a, float).ravel().view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    indent = pad + "  " * a.ndim
+    lines = np.empty(len(values), "S%d" % (len(indent) + _TOKEN_WIDTH + 2))
+    for i in range(0, len(values), _CHUNK):
+        chunk = values[i:i + _CHUNK].tolist()
+        rounded = ("%.12g " * len(chunk) % tuple(chunk)).split()
+        distinct = list(dict.fromkeys(rounded))
+        text = json.dumps(list(map(float, distinct)))[1:-1].replace(", ", ",\n" + indent)
+        line = dict(zip(distinct, (indent + text + ",\n").encode().splitlines(keepends=True)))
+        lines[i:i + _CHUNK] = list(map(line.__getitem__, rounded))
+    _dump_rows(lines, inv.reshape(a.shape), write, pad, lead)
+
+
+def _dump_rows(lines: np.ndarray, idx: np.ndarray, write, pad: str, lead: str) -> None:
+    """_dump of the nested lists whose values' lines are lines[idx]."""
+    if not len(idx):
+        write(lead + "[]")
+    elif idx.ndim == 1:
+        body = lines[idx].tobytes().translate(None, b"\0").decode()
+        write(lead + "[\n" + body[:-2] + "\n" + pad + "]")
+    else:
         inner = pad + "  "
-        items = tokens.tolist() if tokens.ndim == 1 else [nest(row, inner) for row in tokens]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
-    return nest(np.array([token[r] for r in rounded], dtype=object)[inv].reshape(a.shape), pad)
+        for k, row in enumerate(idx):
+            _dump_rows(lines, row, write, inner, (lead + "[\n" if k == 0 else ",\n") + inner)
+        write("\n" + pad + "]")
 
 
 _NUMBER_TYPES = {int, float, bool}
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """Exactly json.dumps(obj, indent=2), numpy arrays as lists of sig12 values.
+def _dump(obj, write, pad: str = "", lead: str = "") -> None:
+    """Write exactly json.dumps(obj, indent=2), numpy arrays as lists of
+    sig12 values, through write: one call per item of a dict or list and per
+    leaf row of an array, so no whole report string is built.
 
     Before Python 3.14 an indent makes json fall back to its pure-Python
     encoder. Containers are walked here instead, and a list of plain
     numbers goes to the C encoder in one call: no number token contains
     ", ", so splitting its compact output there yields one item per line.
-    pad is the indentation of the line obj starts on; json escapes newlines
-    inside strings, so any other value's own rendering is re-indented by
-    prefixing pad to its line breaks.
+    pad is the indentation of the line obj starts on, and lead the text
+    before obj on that line, written with obj's first piece; json escapes
+    newlines inside strings, so any other value's own rendering is
+    re-indented by prefixing pad to its line breaks.
     """
     if isinstance(obj, np.ndarray):
-        return _dumps_array(obj, pad)
+        return _dump_array(obj, write, pad, lead)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _NUMBER_TYPES:
-            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + pad + "]"
+            write(lead + "[\n" + inner + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+                  + "\n" + pad + "]")
+            return
+        for k, x in enumerate(obj):
+            _dump(x, write, inner, (lead + "[\n" if k == 0 else ",\n") + inner)
+        write("\n" + pad + "]")
+        return
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        body = (",\n" + inner).join([json.dumps(k) + ": " + _dumps(v, inner)
-                                      for k, v in obj.items()])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+        for k, (key, value) in enumerate(obj.items()):
+            _dump(value, write, inner,
+                  (lead + "{\n" if k == 0 else ",\n") + inner + json.dumps(key) + ": ")
+        write("\n" + pad + "}")
+        return
+    write(lead + json.dumps(obj, indent=2).replace("\n", "\n" + pad))
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -198,9 +238,11 @@ def _open_out(path: Optional[str]):
         yield sys.stdout
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_json(path: Optional[str], obj) -> None:
+    """obj as _dump writes it, newline-terminated, to path or stdout."""
     with _open_out(path) as fh:
-        fh.write(text)
+        _dump(obj, fh.write)
+        fh.write("\n")
 
 
 def _limit_set_json(ls: Optional[theory.LimitSet]):
@@ -278,8 +320,8 @@ def cmd_analyze(args) -> int:
             "variance_exponent": sig12(dp.variance_exponent),
             "log_correction": dp.log_correction,
         }
-    del problem  # the report holds what it prints; free A, ADi and R before the peak step
-    _write_text(args.out, _dumps(report) + "\n")
+    del problem  # the report holds what it prints; free A, ADi and R before writing it
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -371,7 +413,7 @@ def cmd_verify(args) -> int:
             for e in report.entries
         ],
     }
-    _write_text(args.out, _dumps(payload) + "\n")
+    _write_json(args.out, payload)
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
 
 
@@ -380,16 +422,14 @@ def cmd_export_limit(args) -> int:
     ls = problem.classification.predicted_limit
     if ls is None:
         ls = theory.limit_set(problem.drift)
-    rows = ["vector,component,value"]
-    for i, x in enumerate(ls.particular):
-        rows.append("particular,%d,%.12g" % (i, x))
-    for k in range(ls.dimension):
-        for i, x in enumerate(ls.basis[k]):
-            rows.append("basis%d,%d,%.12g" % (k, i, x))
-        if ls.box is not None:
-            rows.append("basis%d,lo,%.12g" % (k, ls.box[k, 0]))
-            rows.append("basis%d,hi,%.12g" % (k, ls.box[k, 1]))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    with _open_out(args.out) as fh:
+        fh.write("vector,component,value\n")
+        fh.write(_csv_rows("particular,%d,%.12g\n", count(), ls.particular.tolist()))
+        for k in range(ls.dimension):
+            fh.write(_csv_rows(f"basis{k},%d,%.12g\n", count(), ls.basis[k].tolist()))
+            if ls.box is not None:
+                fh.write("basis%d,lo,%.12g\nbasis%d,hi,%.12g\n"
+                         % (k, ls.box[k, 0], k, ls.box[k, 1]))
     return EXIT_OK
 
 

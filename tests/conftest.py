@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from urnnet.cli import _dump
 from urnnet.dynamics import _BLOCK_BUDGET, ModelConfig, StepKernel, parse_schedule
 from urnnet.graphs import parse_edge_list
 from urnnet.theory import Problem
@@ -24,6 +27,13 @@ def problem(g, code="ftsr", p=0.5, s=2, C=1, t0=4, w0=None, sampling="with", see
     cfg = ModelConfig.from_code(code, p=p, s=s, C=C, t0=t0, w0=w0, n=g.n,
                                 sampling=sampling, seed=seed)
     return Problem(g, cfg)
+
+
+def dumped(obj) -> str:
+    """The text urnnet.cli._dump writes for obj."""
+    buf = io.StringIO()
+    _dump(obj, buf.write)
+    return buf.getvalue()
 
 
 def in_neighbours_oracle(g, v):

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from urnnet.cli import _dumps, _write_trajectories, main, sig12
+from urnnet.cli import _CHUNK, _TOKEN_WIDTH, _dump, _write_trajectories, main, sig12
 from urnnet.dynamics import MODEL_CODES, EnsembleTrajectories, simulate_ensemble
 
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     C5_EDGES,
     FIG2_EDGES,
     K2_EDGES,
+    dumped,
     grid_edges,
     problem,
     random_connected_graph,
@@ -467,7 +469,7 @@ _JSON = st.recursive(
           "s": ["x, y", 1, True, None]})
 @example({"non-string keys": [{1: [1, 2.5], None: {"x": []}, 0.5: "a, b", True: False}]})
 def test_dumps_equals_json_dumps_indent_2(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert dumped(value) == json.dumps(value, indent=2)
 
 
 def _sig12_lists(obj):
@@ -488,8 +490,8 @@ def test_fmt_rounding_matches_sig12(shape):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e15 + 0.5, 0.1 + 0.2]
     M.flat[:len(special)] = special[:M.size]
     if M.ndim == 2:
-        assert _dumps(M) == json.dumps([[sig12(x) for x in row] for row in M], indent=2)
-    assert _dumps(M.ravel()) == json.dumps([sig12(x) for x in M.ravel()], indent=2)
+        assert dumped(M) == json.dumps([[sig12(x) for x in row] for row in M], indent=2)
+    assert dumped(M.ravel()) == json.dumps([sig12(x) for x in M.ravel()], indent=2)
 
 
 # A few values repeated across an array, so that both de-duplications (by bit
@@ -512,7 +514,116 @@ _NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF800000000
 @example({"same12": np.array([1 / 3, 1 / 3 + 1e-14, 0.1 + 0.2, 0.3]),
           "deep": [[{"a": np.ones((2, 1))}]]})
 def test_dumps_writes_float_arrays_as_sig12_lists(value):
-    assert _dumps(value) == json.dumps(_sig12_lists(value), indent=2)
+    assert dumped(value) == json.dumps(_sig12_lists(value), indent=2)
+
+
+@pytest.mark.parametrize("distinct", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 1])
+def test_dump_array_chunk_boundaries(distinct):
+    rng = np.random.default_rng(distinct)
+    values = rng.standard_normal(distinct) * 10.0 ** rng.integers(-300, 300, distinct)
+    a = values[rng.permutation(np.arange(2 * distinct) % distinct)]  # each value twice
+    assert len(np.unique(a)) == distinct
+    assert dumped(a) == json.dumps([sig12(x) for x in a], indent=2)
+    M = a.reshape(-1, 2)  # a row per distinct value: more rows than a chunk past _CHUNK
+    assert dumped({"M": M}) == json.dumps({"M": [[sig12(x) for x in row] for row in M]}, indent=2)
+
+
+# The longest tokens: each has as many characters as a token may hold.
+_LONGEST = [-1.23456789012e-308, -1234567890120000.0, -9.87654321098e+307, -1.23456789012e-100]
+
+
+def test_dump_array_writes_longest_tokens_whole():
+    assert {len(json.dumps(x)) for x in _LONGEST} == {_TOKEN_WIDTH}
+    # every decimal exponent, subnormals included, at 12 digits
+    values = np.array([-float(f"1.23456789012e{e}") for e in range(-324, 309)]
+                      + _LONGEST + [-np.inf, np.inf, np.nan, -0.0])
+    assert max(len(json.dumps(sig12(x))) for x in values) == _TOKEN_WIDTH
+    assert dumped(values) == json.dumps([sig12(x) for x in values], indent=2)
+    assert "-Infinity" in dumped(values)
+
+
+def test_dump_holds_under_four_times_its_text(tmp_path):
+    rng = np.random.default_rng(0)
+    report = {"Sigma": rng.standard_normal((300, 300)), "Gamma": np.eye(300) / 8,
+              "b": np.ones(300)}
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _dump(report, fh.write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_500_000
+    assert peak < 4 * size, (peak, size)
+
+
+def test_dump_writes_once_per_leaf_row():
+    """12 leaf rows and 4 closing brackets, 7 edges and a closing bracket, and the
+    dict's closing brace, whatever the length of a row."""
+    counts = []
+    for width in (1, 5, 500):
+        writes = []
+        _dump({"M": np.ones((3, 4, width)), "edges": [[0, 1]] * 7}, writes.append)
+        counts.append(len(writes))
+    assert counts == [25] * 3
+
+
+def _run_quiet(args, capsys):
+    rc = main(args)
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("analyze", ["--model", "ftsnr"]),
+    ("verify", ["--model", "ftsnr", "--steps", "300", "--replicas", "4"]),
+])
+def test_stdout_matches_out_file(tmp_path, command, flags, capsys):
+    graph = tmp_path / "grid.edges"
+    graph.write_text(grid_edges(4, 5) + "\n")
+    args = [command, "--graph", str(graph), *flags]
+    out = tmp_path / "report.json"
+    rc_file, _ = _run_quiet(args + ["--out", str(out)], capsys)
+    rc_stdout, captured = _run_quiet(args, capsys)
+    assert rc_file == rc_stdout
+    assert captured.out == out.read_text(encoding="utf-8")
+    assert json.loads(captured.out)
+
+
+def _assert_io_error(args, capsys):
+    rc, captured = _run_quiet(args, capsys)
+    assert rc == 3
+    assert captured.err.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("flag,command", [
+    ("--graph", "analyze"), ("--config", "analyze"), ("--plan", "verify")])
+def test_missing_input_file_exit_3(c4_file, tmp_path, flag, command, capsys):
+    args = [command, "--graph", c4_file, "--model", "ftsr", flag, str(tmp_path / "missing")]
+    _assert_io_error(args, capsys)
+
+
+_FULL = "/dev/full"
+needs_full_device = pytest.mark.skipif(not os.path.exists(_FULL), reason="no /dev/full")
+
+
+@pytest.mark.parametrize("target", ["directory", _FULL])
+@pytest.mark.parametrize("command", ["analyze", "verify", "export-limit", "simulate"])
+def test_unwritable_out_exit_3(c4_file, tmp_path, command, target, capsys):
+    if target == _FULL and not os.path.exists(_FULL):
+        pytest.skip("no /dev/full")
+    budget = ["--steps", "10", "--replicas", "2"] if command in ("verify", "simulate") else []
+    out = str(tmp_path) if target == "directory" else target
+    _assert_io_error([command, "--graph", c4_file, "--model", "ftsr", *budget, "--out", out], capsys)
+
+
+@needs_full_device
+@pytest.mark.parametrize("flag", ["--stats-out", "--cov-out"])
+def test_simulate_side_file_to_full_device_exit_3(c4_file, tmp_path, flag, capsys):
+    args = ["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
+            "--replicas", "2", "--out", str(tmp_path / "t.csv"), flag, _FULL]
+    _assert_io_error(args, capsys)
 
 
 @pytest.mark.parametrize("edges,flags", [
