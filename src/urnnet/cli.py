@@ -116,6 +116,16 @@ def _dump(obj, write, pad: str = "", lead: str = "") -> None:
     write(lead + json.dumps(obj, indent=2).replace("\n", "\n" + pad))
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; ConfigError naming what when the
+    file is not UTF-8 text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{what} is not UTF-8 text: {exc}") from None
+
+
 def _json_object(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
@@ -134,8 +144,7 @@ _CONFIG_KEYS = ("graph", "directed", "model", "p", "s", "c", "t0", "w0", "sampli
 
 def _load_config_file(path) -> dict:
     """Optional config file: JSON object or 'key = value' lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, f"config file {path}")
     if text.lstrip().startswith("{"):
         return _json_object(text, f"config file {path}")
     out = {}
@@ -275,7 +284,7 @@ def cmd_analyze(args) -> int:
             "g1_is_odd_cycle": ga.g1_is_odd_cycle,
         },
         "model": {
-            "code": cfg.model_code, "p": sig12(cfg.p), "s": cfg.s, "C": cfg.C,
+            "code": cfg.code, "p": sig12(cfg.p), "s": cfg.s, "C": cfg.C,
             "sampling": cfg.sampling, "T0": cfg.T0.tolist(), "W0": cfg.W0.tolist(),
         },
         "spectrum": {
@@ -393,8 +402,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     problem, run = _load_problem(args)
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = _json_object(fh.read(), f"plan file {args.plan}")
+        what = f"plan file {args.plan}"
+        plan = _json_object(_read_text(args.plan, what), what)
     else:
         plan = experiments.default_plan()
     plan.update(run)

@@ -48,9 +48,6 @@ __all__ = [
     "parse_schedule",
 ]
 
-SCHEMES = ("polya", "friedman")
-NEIGHBOURHOODS = ("self", "neighbour", "self_and_neighbour")
-
 MODEL_CODES = {
     "ptsr": ("polya", "self"),
     "ptnr": ("polya", "neighbour"),
@@ -80,8 +77,7 @@ class ModelConfig:
     s <= min(T0) (totals only grow, so the condition holds for all t).
     """
 
-    scheme: str
-    neighbourhood: str
+    code: str  # a lower-case key of MODEL_CODES: the scheme and neighbourhood
     p: float
     s: int
     C: int
@@ -91,10 +87,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.neighbourhood not in NEIGHBOURHOODS:
-            raise ConfigError(f"unknown neighbourhood {self.neighbourhood!r}")
+        if self.code not in MODEL_CODES:
+            raise ConfigError(f"unknown model code {self.code!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p={self.p} outside [0, 1]")
         if self.s < 1 or self.C < 1:
@@ -116,21 +110,18 @@ class ModelConfig:
     def from_code(cls, code: str, *, p, s, C, t0, w0=None, n, sampling="with", seed=0):
         """Build from a four-letter model code. t0 and w0 are one integer or n,
         as a list or a string; w0 defaults to t0 // 2."""
-        code = str(code).lower()
-        if code not in MODEL_CODES:
-            raise ConfigError(f"unknown model code {code!r}")
-        scheme, neigh = MODEL_CODES[code]
         T0 = _per_urn(t0, "t0", n)
         W0 = T0 // 2 if w0 is None else _per_urn(w0, "w0", n)
-        return cls(scheme, neigh, read_number(p, "p", integer=False), read_number(s, "s"),
+        return cls(str(code).lower(), read_number(p, "p", integer=False), read_number(s, "s"),
                    read_number(C, "c"), sampling, T0, W0, read_number(seed, "seed"))
 
     @property
-    def model_code(self) -> str:
-        for code, pair in MODEL_CODES.items():
-            if pair == (self.scheme, self.neighbourhood):
-                return code
-        raise AssertionError
+    def scheme(self) -> str:
+        return MODEL_CODES[self.code][0]
+
+    @property
+    def neighbourhood(self) -> str:
+        return MODEL_CODES[self.code][1]
 
     @property
     def is_friedman(self) -> bool:
@@ -173,7 +164,7 @@ class StepKernel:
 
     def __init__(self, problem: Problem):
         cfg = self.cfg = problem.cfg
-        self.nbr_flat, self.deg = problem.in_neighbours
+        self.nbr_flat, self.deg = problem.g.in_neighbours
         self.nbr_off = np.cumsum(self.deg) - self.deg
         self.idx = np.arange(len(self.deg))
         params = problem.params
@@ -184,9 +175,7 @@ class StepKernel:
             self.roff = self.nbr_off + self.idx
         elif params.kappa:
             self.rflat, self.roff = self.nbr_flat, self.nbr_off
-        # a sample's count is one product of its 0/1 comparisons with ones
-        # of the smallest type that holds s, so the sum is exact
-        self.ones = np.ones(cfg.s, np.min_scalar_type(cfg.s))
+        self.ones = np.ones(cfg.s, np.int64)  # counts a sample's 0/1 draws exactly
 
     def sources(self, coin, pick):
         """Flat indices into the (R, n) state of the urn each urn samples
@@ -212,7 +201,7 @@ class StepKernel:
         """
         if self.cfg.sampling == "with":
             q = (W / T).take(src)
-            return ((draws < q[..., None]).view(np.uint8) @ self.ones).astype(np.int64)
+            return (draws < q[..., None]) @ self.ones
         w_src = W.take(src)
         w_rem = w_src.astype(np.float64)
         t_rem = T.take(src % len(T)).astype(np.float64)
@@ -342,9 +331,9 @@ def simulate_ensemble(problem: Problem, steps: int,
     """Run `replicas` independent copies of the process in lock-step.
 
     Every replica starts from (W0, T0) and owns an independent slice of the
-    random stream at each step; seed defaults to the config's. Snapshots of
-    (W, T) are taken at the scheduled times. The stream does not depend on
-    the schedule. ConfigError on a bad budget (see check_budget).
+    random stream at each step; seed defaults to the config's. W is copied at
+    the scheduled times, whose totals are T0 + C*s*omega*t. The stream does
+    not depend on the schedule. ConfigError on a bad budget (see check_budget).
     """
     cfg = problem.cfg
     steps, replicas, times, seed = check_budget(
@@ -356,18 +345,9 @@ def simulate_ensemble(problem: Problem, steps: int,
     snap_at = {t: i for i, t in enumerate(times)}
 
     W = np.tile(cfg.W0, (replicas, 1))
-    T = cfg.T0.copy()
-
-    K = len(times)
-    Ws = np.empty((K, replicas, n), np.int64)
-    Ts = np.empty((K, n), np.int64)
-
-    def snapshot(t):
-        i = snap_at[t]
-        Ws[i] = W
-        Ts[i] = T
-
-    snapshot(0)
+    T = cfg.T0
+    Ws = np.empty((len(times), replicas, n), np.int64)
+    Ws[0] = W  # times[0] is always 0
 
     block = max(1, min(128, _BLOCK_BUDGET // max(1, replicas * n * (2 + cfg.s))))
     chunk = max(1, _SOURCE_CHUNK // (replicas * n))
@@ -384,5 +364,6 @@ def simulate_ensemble(problem: Problem, steps: int,
             T = T + kern.dT
             t += 1
             if t in snap_at:
-                snapshot(t)
-    return EnsembleTrajectories(times=np.array(times), W=Ws, T=Ts)
+                Ws[snap_at[t]] = W
+    return EnsembleTrajectories(times=np.array(times), W=Ws,
+                                T=cfg.T0 + np.outer(times, kern.dT))

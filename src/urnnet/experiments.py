@@ -149,12 +149,12 @@ def rate_fit(times: np.ndarray, Z: np.ndarray, statistic: str, window, Q) -> Rat
     return RateFit(slope=float(slope), stderr=stderr, times=ts)
 
 
-def fluctuation_estimate(Z: np.ndarray, t: int, center=0.5) -> np.ndarray:
-    """Sample covariance across replicas of sqrt(t) (Z_t - center), for the
+def fluctuation_estimate(Z: np.ndarray, t: int) -> np.ndarray:
+    """Sample covariance across replicas of sqrt(t) (Z_t - 1/2), for the
     (R, n) snapshot Z taken at time t."""
     if len(Z) < 2:
         raise TooFewReplicasError("need at least 2 replicas for a covariance")
-    X = math.sqrt(t) * (Z - center)
+    X = math.sqrt(t) * (Z - 0.5)
     Xc = X - X.mean(axis=0)
     return Xc.T @ Xc / (len(Z) - 1)
 
@@ -181,11 +181,11 @@ class VerificationReport:
         return all(e.passed for e in self.entries)
 
 
-def default_plan(steps: int = 100_000, replicas: int = 64) -> dict:
+def default_plan() -> dict:
     """Convergence + manifold plan appropriate for any classified model."""
     return {
-        "steps": steps,
-        "replicas": replicas,
+        "steps": 100_000,
+        "replicas": 64,
         "schedule": "geometric(1.2)",
         "criteria": [
             {"kind": "convergence", "tolerance": 0.05},

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     EmptyGraphError,
+    GraphError,
     IndexOutOfRangeError,
     NotConnectedError,
     NotWeaklyConnectedError,
@@ -28,7 +29,6 @@ __all__ = [
     "parse_edge_list",
     "load_edge_file",
     "matrices",
-    "in_neighbours",
     "analyze_graph",
 ]
 
@@ -44,7 +44,10 @@ class GraphSpec:
 
     @cached_property
     def in_neighbours(self):
-        """(flat, deg) in-neighbour lists; see in_neighbours()."""
+        """The urns each urn samples from, as read-only arrays (flat, deg):
+        deg[v] is v's in-degree (its degree when undirected), positive on a
+        validated graph, and v's in-neighbours are flat[o:o + deg[v]] in
+        ascending order, with o = deg[:v].sum()."""
         return _in_neighbour_lists(self.n, self.edges, both_ways=not self.directed)
 
     @cached_property
@@ -60,7 +63,6 @@ class GraphSpec:
 class GraphAnalysis:
     """Structural classification of a GraphSpec."""
 
-    connected: bool
     bipartition: Optional[tuple] = None  # (frozenset V, frozenset W), 0 in V
     regular_degree: Optional[int] = None
     scc_order: Optional[tuple] = None  # SCCs in topological order (directed)
@@ -72,7 +74,8 @@ def parse_edge_list(text: str, directed: bool) -> GraphSpec:
 
     Lines starting with '#' and blank lines are ignored. Duplicate edges
     collapse to one; undirected inputs accept either orientation. The vertex
-    count is max index + 1, so every vertex below it must have an edge.
+    count is max index + 1, so every vertex below it must have an edge;
+    that is checked on the pairs, before any array of n entries is built.
     """
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,6 +99,8 @@ def parse_edge_list(text: str, directed: bool) -> GraphSpec:
             raise SelfLoopError(u)
         if u < 0 or v < 0:
             raise IndexOutOfRangeError(u if u < 0 else v, n)
+    if len({x for pair in pairs for x in pair}) < n:  # some vertex has no edge
+        raise _disconnected(directed)
 
     if directed:
         edges = tuple(sorted(set(pairs)))
@@ -108,16 +113,23 @@ def parse_edge_list(text: str, directed: bool) -> GraphSpec:
 
 
 def load_edge_file(path, directed: bool) -> GraphSpec:
-    """Read a UTF-8 edge-list file (see parse_edge_list for the format)."""
+    """Read a UTF-8 edge-list file (see parse_edge_list for the format);
+    GraphError naming the file when it is not UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), directed)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"graph file {path} is not UTF-8 text: {exc}") from None
+    return parse_edge_list(text, directed)
+
+
+def _disconnected(directed: bool) -> GraphError:
+    return NotWeaklyConnectedError() if directed else NotConnectedError()
 
 
 def _validate(g: GraphSpec) -> None:
     if -1 in g._two_colouring[0]:
-        if g.directed:
-            raise NotWeaklyConnectedError()
-        raise NotConnectedError()
+        raise _disconnected(g.directed)
     if g.directed:
         zero = np.flatnonzero(g.in_neighbours[1] == 0)
         if zero.size:
@@ -157,8 +169,8 @@ def matrices(g: GraphSpec) -> np.ndarray:
     """Dense adjacency matrix: A[u, v] = 1 iff there is an edge u->v.
 
     Undirected edges fill both orientations. Column sums are the degrees
-    (in-degrees on directed graphs), which in_neighbours() counts without
-    building the n x n matrix.
+    (in-degrees on directed graphs), which GraphSpec.in_neighbours counts
+    without building the n x n matrix.
     """
     flat, deg = g.in_neighbours
     A = np.zeros((g.n, g.n))
@@ -166,25 +178,11 @@ def matrices(g: GraphSpec) -> np.ndarray:
     return A
 
 
-def in_neighbours(g: GraphSpec):
-    """The urns each urn samples from, as flat arrays (flat, deg).
-
-    deg[v] is the in-degree of v (the degree when undirected), positive on a
-    validated graph. The in-neighbours of v are flat[o:o + deg[v]] in
-    ascending order, with o = deg[:v].sum(). Built once per GraphSpec and
-    shared by every reader, so callers must not write to the arrays.
-    """
-    return g.in_neighbours
-
-
 def analyze_graph(g: GraphSpec) -> GraphAnalysis:
     """Classify a graph: bipartiteness, regularity, SCC structure."""
     if g.directed:
         order, sources_odd = _topological_scc_order(g, _tarjan_sccs(g))
         return GraphAnalysis(
-            connected=True,
-            bipartition=None,
-            regular_degree=None,
             scc_order=tuple(frozenset(c) for c in order),
             g1_is_odd_cycle=sources_odd,
         )
@@ -196,7 +194,7 @@ def analyze_graph(g: GraphSpec) -> GraphAnalysis:
         bipartition = (V, frozenset(range(g.n)) - V)
     deg = g.in_neighbours[1]
     regular = int(deg[0]) if np.all(deg == deg[0]) else None
-    return GraphAnalysis(connected=True, bipartition=bipartition, regular_degree=regular)
+    return GraphAnalysis(bipartition=bipartition, regular_degree=regular)
 
 
 def _tarjan_sccs(g: GraphSpec) -> list:

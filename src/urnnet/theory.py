@@ -41,7 +41,7 @@ from .errors import (
     LyapunovFailure,
     NotApplicableError,
 )
-from .graphs import GraphAnalysis, GraphSpec, analyze_graph, in_neighbours, matrices
+from .graphs import GraphAnalysis, GraphSpec, analyze_graph, matrices
 from .spectral import SpectralData, ZERO_EIG_TOL, eigendecompose, nullspace
 
 __all__ = [
@@ -146,8 +146,8 @@ class Problem:
 
     Each derived object is computed on first use and cached, so every entry
     point reads the same adjacency, spectrum, drift and classification. The
-    simulator reads only the O(n + edges) members (in_neighbours, params);
-    the dense A, ADi and R are built for theory and spectral work alone.
+    simulator reads only the O(n + edges) g.in_neighbours and params; the
+    dense A, ADi and R are built for theory and spectral work alone.
     """
 
     g: GraphSpec
@@ -158,14 +158,9 @@ class Problem:
             raise ConfigError(f"config is for {len(self.cfg.T0)} urns, graph has {self.g.n}")
 
     @cached_property
-    def in_neighbours(self):
-        """(flat, deg) in-neighbour lists, the graph's own; see graphs.in_neighbours."""
-        return in_neighbours(self.g)
-
-    @cached_property
     def deg(self) -> np.ndarray:
         """Degrees (in-degrees when directed) as floats; A / deg is column stochastic."""
-        return self.in_neighbours[1].astype(float)
+        return self.g.in_neighbours[1].astype(float)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -184,7 +179,7 @@ class Problem:
         Degrees are in-degrees on directed graphs (reinforcement arrives from
         in-neighbours, one packet per incoming edge).
         """
-        deg = self.in_neighbours[1]
+        deg = self.g.in_neighbours[1]
         if self.cfg.neighbourhood == "self":
             return Params(1, 0, np.ones(self.g.n, np.int64))
         if self.cfg.neighbourhood == "neighbour":
@@ -304,7 +299,7 @@ def classify(problem: Problem) -> ClassificationReport:
     uniform = cfg.uniform_t0
     diag = sd.diagonalizable
     checks = [
-        ("connected", ga.connected),
+        ("connected", True),  # parse_edge_list rejects a disconnected graph
         ("bipartite", bip),
         ("regular", regular),
         ("uniform_t0", uniform),

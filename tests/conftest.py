@@ -202,7 +202,7 @@ def reference_simulate(problem, steps, schedule, replicas, seed):
     It consumes the random stream in simulate_ensemble's block layout."""
     cfg, n, R = problem.cfg, problem.g.n, replicas
     eta, kappa, omega = problem.params
-    nbr_flat, deg = problem.in_neighbours
+    nbr_flat, deg = problem.g.in_neighbours
     nbr_off = np.cumsum(deg) - deg
     rng = np.random.default_rng(seed)
     times = parse_schedule(schedule, steps)

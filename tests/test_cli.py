@@ -145,6 +145,15 @@ def test_analyze_corrupt_graph_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_analyze_non_utf8_graph_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"0 1\n1 2 # \xff\n")
+    rc = main(["analyze", "--graph", str(path), "--model", "ftsr"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"graph file {path} is not UTF-8 text" in err
+
+
 def test_verify_pass_and_fail(c5_file, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
@@ -252,12 +261,14 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
     ('{"graph": "GRAPH", "model": "ftsr", "directed": "maybe"}',
      "directed must be true or false, got 'maybe'"),
     ("graph = GRAPH\nmodel = ftsr\nout = x.json\n", "unknown key(s) 'out'"),
+    ("graph = GRAPH\nmodel = ftsr # \udcff\n", "is not UTF-8 text"),
 ], ids=["malformed-json", "non-string-model", "non-string-graph", "fractional-s",
         "fractional-steps", "fractional-replicas", "boolean-seed", "non-boolean-directed",
-        "flag-only-key"])
+        "flag-only-key", "non-utf8"])
 def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(text.replace("GRAPH", c4_file))
+    # a lone surrogate escape writes one byte that is not UTF-8
+    cfgfile.write_text(text.replace("GRAPH", c4_file), "utf-8", "surrogateescape")
     rc = main(["analyze", "--config", str(cfgfile)])
     assert rc == 2
     assert needle in capsys.readouterr().err
@@ -332,6 +343,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      % json.dumps([[float("inf") if i == j == 0 else float(i == j) for j in range(5)]
                    for i in range(5)]),
      "'sigma' must be a finite number, got inf"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence"}]} \udcff',
+     "is not UTF-8 text"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -341,10 +354,11 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "fractional-replicas", "fractional-seed", "fractional-at", "boolean-steps",
         "fractional-schedule-time", "infinite-tolerance", "boolean-tolerance",
         "boolean-window", "misspelt-plan-key", "null-target", "nan-target",
-        "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry"])
+        "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry",
+        "non-utf8"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
-    plan.write_text(text)
+    plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test
     out = tmp_path / "report.json"
     rc = main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan),
                "--out", str(out)])

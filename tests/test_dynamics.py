@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import (
     MODEL_CODES,
+    ModelConfig,
     StepKernel,
     check_totals,
     parse_schedule,
@@ -41,6 +42,15 @@ def test_config_rejects_monochrome_urn(k2):
 def test_config_rejects_oversampling_without_replacement(k2):
     with pytest.raises(ConfigError):
         problem(k2, "ftsr", p=0.5, s=10, t0=4, sampling="without")
+
+
+def test_config_code_is_the_one_model_identity():
+    for code, pair in MODEL_CODES.items():
+        cfg = ModelConfig.from_code(code.upper(), p=0.5, s=2, C=1, t0=4, n=3)
+        assert cfg.code == code
+        assert (cfg.scheme, cfg.neighbourhood) == pair
+    with pytest.raises(ConfigError, match="unknown model code 'xx'"):
+        ModelConfig("xx", 0.5, 2, 1, "with", np.array([4, 4]), np.array([2, 2]))
 
 
 # --- derived parameters -------------------------------------------------------
@@ -344,7 +354,7 @@ def test_step_size_diagnostic(c4):
 @example(8, True, "ptnr", "without", 3, 16, 160, 0.6)
 def test_simulate_matches_reference_kernel(seed, directed, code, sampling, C, s, R, p):
     # 150 steps cross the 128-step uniform block and, once R*n > 64, a
-    # source chunk; s = 300 needs a uint16 count
+    # source chunk; s = 300 counts past 255
     if s == 300:
         if sampling == "without":
             s = 16
@@ -353,8 +363,10 @@ def test_simulate_matches_reference_kernel(seed, directed, code, sampling, C, s,
     g = random_directed_graph(rng) if directed else random_connected_graph(rng)
     t0 = rng.integers(s + 1, s + 30, g.n)
     P = problem(g, code, p=p, s=s, C=C, t0=t0, w0=rng.integers(1, t0), sampling=sampling)
-    got = simulate_ensemble(P, 150, schedule="all", replicas=R, seed=seed).W
-    assert got.tobytes() == reference_simulate(P, 150, "all", R, seed).tobytes()
+    got = simulate_ensemble(P, 150, schedule="all", replicas=R, seed=seed)
+    assert got.W.tobytes() == reference_simulate(P, 150, "all", R, seed).tobytes()
+    # the totals are built in closed form, T_t = T0 + C s omega t
+    assert np.array_equal(got.T, t0 + C * s * np.arange(151)[:, None] * P.params.omega)
 
 
 def test_ensemble_replicas_independent_at_t0(c4):

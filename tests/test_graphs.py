@@ -10,7 +10,7 @@ from urnnet.errors import (
     SelfLoopError,
     ZeroInDegreeError,
 )
-from urnnet.graphs import analyze_graph, in_neighbours, matrices, parse_edge_list
+from urnnet.graphs import analyze_graph, matrices, parse_edge_list
 
 from conftest import (
     FIG2_EDGES,
@@ -44,7 +44,7 @@ def test_parse_duplicates_and_orientation_collapse():
 
 def test_parse_fig2_in_degrees():
     g = parse_edge_list(FIG2_EDGES, directed=True)
-    _, din = in_neighbours(g)
+    _, din = g.in_neighbours
     assert din.tolist() == [1, 1, 2, 1, 1]
 
 
@@ -55,6 +55,11 @@ def test_parse_fig2_in_degrees():
     ("0 1\n2 3", False, NotConnectedError),
     ("0 1\n2 3", True, NotWeaklyConnectedError),
     ("0 1\n0 2\n1 2", True, ZeroInDegreeError),  # vertex 0 never receives
+    # ids no edge reaches are rejected before any array of n entries
+    ("0 1\n1 1000000000000000", False, NotConnectedError),
+    ("0 1\n1 1000000000000000", True, NotWeaklyConnectedError),
+    ("0 1\n1 99999999999999999999", False, NotConnectedError),  # beyond int64
+    ("0 1\n1 99999999999999999999", True, NotWeaklyConnectedError),
 ])
 def test_parse_rejects(text, directed, err):
     with pytest.raises(err):
@@ -142,7 +147,7 @@ def test_bipartition_xor_odd_cycle(seed):
     # column-stochastic transfer matrix, for both orientations of degree use
     assert np.allclose((A / d[None, :]).sum(axis=0), 1.0, atol=1e-12)
     # in-neighbour lists agree with a literal scan of the edge list and with A
-    flat, deg = in_neighbours(g)
+    flat, deg = g.in_neighbours
     off = np.cumsum(deg) - deg
     for v in range(g.n):
         nbrs = flat[off[v]:off[v] + deg[v]].tolist()
@@ -150,7 +155,7 @@ def test_bipartition_xor_odd_cycle(seed):
 
 
 def test_in_neighbours_directed(fig2):
-    flat, deg = in_neighbours(fig2)
+    flat, deg = fig2.in_neighbours
     assert deg.tolist() == [1, 1, 2, 1, 1]
     assert flat.tolist() == [1, 0, 0, 4, 2, 3]  # vertex 2 samples from 0 and 4
     assert in_neighbours_oracle(fig2, 2) == [0, 4]
