@@ -42,7 +42,6 @@ __all__ = [
     "MODEL_CODES",
     "check_budget",
     "check_keys",
-    "check_totals",
     "read_number",
     "simulate_ensemble",
     "parse_schedule",
@@ -224,14 +223,17 @@ class StepKernel:
 def read_number(value, key: str, integer: bool = True, least=None):
     """value as an int, or else as a finite float: the one reader of the
     numbers that flags, config files and plans give. A number is a Python or
-    NumPy number, or a string int() or float() reads (flags, key=value
-    lines); an integer may be an integral float (JSON 1e5 or 4.0), but not
-    100.9 or '1e5'. A bool is never a number. ConfigError naming key unless
-    value is a number of the mode, at least `least` when that is given.
+    NumPy number, or an ASCII string without '_' that int() or float() reads
+    (flags, key=value lines); an integer may be an integral float (JSON 1e5
+    or 4.0), but not 100.9 or '1e5'. A bool is never a number. ConfigError
+    naming key unless value is a number of the mode, at least `least` when
+    that is given.
     """
     number = None
     if not isinstance(value, bool) and isinstance(value, (str, int, float, np.number)):
         try:
+            if isinstance(value, str) and (not value.isascii() or "_" in value):
+                raise ValueError  # int() and float() also read '1_0' and Unicode digits
             if not integer:
                 number = float(value)
             elif isinstance(value, (str, int, np.integer)) or value.is_integer():
@@ -299,29 +301,23 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
     return np.array(ts)
 
 
-def check_totals(problem: Problem, steps: int) -> None:
-    """ConfigError unless the totals of `steps` steps fit in int64.
-
-    Totals grow by C*s*omega_i per step and W <= T, so the bound
-    max(T0) + C*s*max(omega)*steps, and the per-step increment itself, cover
-    every ball count; both are computed in Python integers.
+def check_budget(problem: Problem, steps, replicas, schedule, seed) -> tuple:
+    """The run (steps, replicas, times, seed), read and checked: steps >= 0,
+    replicas >= 1, seed >= 0, and parse_schedule's times as a tuple.
+    ConfigError when one is malformed or out of range, or when the totals of
+    `steps` steps could pass int64: totals grow by C*s*omega_i per step and
+    W <= T, so the bound max(T0) + C*s*max(omega)*steps, and the per-step
+    increment itself, cover every ball count; both are Python integers.
     """
+    steps = read_number(steps, "steps", least=0)
+    replicas = read_number(replicas, "replicas", least=1)
+    seed = read_number(seed, "seed", least=0)
     cfg = problem.cfg
     inc = cfg.C * cfg.s * int(problem.params.omega.max())
     top = max(int(cfg.T0.max()) + inc * steps, inc)
     if top > _INT64_MAX:
         raise ConfigError(f"ball counts overflow int64 within {steps} steps: "
                           f"totals reach {top} > {_INT64_MAX}")
-
-
-def check_budget(problem: Problem, steps, replicas, schedule, seed) -> tuple:
-    """The run (steps, replicas, times, seed), read and checked: steps >= 0,
-    replicas >= 1, seed >= 0, check_totals, and parse_schedule's times as a
-    tuple. ConfigError when one is malformed or out of range."""
-    steps = read_number(steps, "steps", least=0)
-    replicas = read_number(replicas, "replicas", least=1)
-    seed = read_number(seed, "seed", least=0)
-    check_totals(problem, steps)
     return steps, replicas, tuple(parse_schedule(schedule, steps).tolist()), seed
 
 

@@ -87,10 +87,7 @@ def sync_metrics(problem: Problem, Z: np.ndarray,
 def manifold_distance(Z: np.ndarray, ls: LimitSet) -> np.ndarray:
     """Per-replica Euclidean distance of an (R, n) snapshot Z to the limit
     set (box-clipped projection)."""
-    diff = Z - ls.particular[None, :]
-    if ls.dimension == 0:
-        return np.linalg.norm(diff, axis=1)
-    coeff = diff @ ls.basis.T  # orthonormal rows
+    coeff = (Z - ls.particular[None, :]) @ ls.basis.T  # orthonormal rows
     if ls.box is not None:
         coeff = np.clip(coeff, ls.box[:, 0][None, :], ls.box[:, 1][None, :])
     proj = ls.particular[None, :] + coeff @ ls.basis

@@ -86,6 +86,8 @@ def parse_edge_list(text: str, directed: bool) -> GraphSpec:
         if len(parts) != 2:
             raise EmptyGraphError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError  # int() also reads '1_0' and Unicode digits
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EmptyGraphError(f"line {lineno}: non-integer vertex in {raw!r}")

@@ -60,7 +60,7 @@ def eigendecompose(problem: Problem) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
-    eig = eig[_zero_first_order(eig)]
+    eig = eig[np.lexsort((np.imag(eig), np.real(eig), np.abs(eig) >= ZERO_EIG_TOL))]
     if np.all(np.abs(np.imag(eig)) < 1e-10):
         eig = np.real(eig)
 
@@ -72,19 +72,12 @@ def eigendecompose(problem: Problem) -> SpectralData:
     return SpectralData(eigenvalues=eig, diagonalizable=diagonalizable, theta=theta)
 
 
-def _zero_first_order(eig: np.ndarray) -> np.ndarray:
-    zero = np.abs(eig) < ZERO_EIG_TOL
-    keys = list(zip(~zero, np.real(eig), np.imag(eig)))
-    return np.array(sorted(range(len(eig)), key=lambda i: keys[i]))
-
-
 def nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the left null space {x : x M = 0}.
+    """Orthonormal basis of the left null space {x : x M = 0} of a real
+    square M.
 
     Row-vector convention: returns an array of shape (n - rank, n) whose rows
     x satisfy x @ M ~ 0, counting singular values up to 1e-9 n max|M| as zero.
     """
-    tol = 1e-9 * M.shape[0] * max(np.max(np.abs(M)) if M.size else 0.0, 1e-300)
     U, sv, _ = np.linalg.svd(M)
-    null_mask = np.concatenate([sv <= tol, np.ones(M.shape[0] - len(sv), bool)])
-    return U[:, null_mask].T.conj()
+    return U[:, sv <= 1e-9 * M.shape[0] * np.max(np.abs(M))].T

@@ -5,7 +5,10 @@ the adjacency, spectrum, drift and classification so each is computed once.
 Everything uses the row-vector convention: the mean field is
 h(z) = b + z K, states are rows, and K is the Jacobian. Zeros of h are the
 candidate limits; the affine solution set intersected with [0,1]^N is the
-limit manifold.
+limit manifold. It always passes through 1/2 1: the transfer matrix T is
+column stochastic and (b, K) is (0, T - I) for Polya, (1, -(T + I)) for
+Friedman. So a basis row u_j of the manifold ranges over the parameter box
++-1/(2 max_i |u_ji|).
 
 The stationary covariance of sqrt(t) (Z_t - 1/2 1) solves the Lyapunov
 equation (K + I/2)^T Sigma + Sigma (K + I/2) = -Gamma_eff, where Gamma_eff
@@ -66,6 +69,8 @@ _CRITICAL_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _NEAR_CRITICAL_BAND = 0.05
 _SIGN_MAX_ITER = 50
+# (eta, kappa): reinforce the urn itself, its neighbours, or both
+_SWITCHES = {"self": (1, 0), "neighbour": (0, 1), "self_and_neighbour": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,8 @@ class DriftModel:
 class LimitSet:
     """Affine solution set of h(z) = 0 intersected with [0,1]^N.
 
-    Elements are particular + sum_k c_k basis[k]; basis rows are orthonormal.
+    Elements are particular + sum_k c_k basis[k], with particular = 1/2 1
+    (see limit_set); basis rows are orthonormal.
     box[k] = (lo, hi) is the range of c_k keeping the point inside [0,1]^N
     (None when the ranges do not decouple across parameters).
     """
@@ -174,17 +180,14 @@ class Problem:
 
     @cached_property
     def params(self) -> Params:
-        """eta/kappa per neighbourhood mode; omega_i in {1, d_i, d_i + 1}.
+        """eta/kappa per neighbourhood mode; omega_i = eta + kappa d_i, so
+        1, d_i or d_i + 1.
 
         Degrees are in-degrees on directed graphs (reinforcement arrives from
         in-neighbours, one packet per incoming edge).
         """
-        deg = self.g.in_neighbours[1]
-        if self.cfg.neighbourhood == "self":
-            return Params(1, 0, np.ones(self.g.n, np.int64))
-        if self.cfg.neighbourhood == "neighbour":
-            return Params(0, 1, deg)
-        return Params(1, 1, deg + 1)
+        eta, kappa = _SWITCHES[self.cfg.neighbourhood]
+        return Params(eta, kappa, eta + kappa * self.g.in_neighbours[1])
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -236,53 +239,34 @@ def stability(dm: DriftModel):
     return dm.eigenvalues, bool(np.max(dm.eigenvalues.real) <= 1e-9)
 
 
-def _param_box(particular: np.ndarray, basis: np.ndarray) -> Optional[np.ndarray]:
-    """Per-parameter ranges keeping particular + c.basis inside [0,1]^N.
+def _param_box(basis: np.ndarray) -> Optional[np.ndarray]:
+    """Per-parameter ranges keeping 1/2 1 + c.basis inside [0,1]^N.
 
+    Every coordinate starts at 1/2, so c_j ranges over +-1/(2 max_i |u_ji|).
     Exact when each coordinate is touched by at most one basis vector
     (always true for one-parameter families); otherwise returns None.
     """
-    k = basis.shape[0]
-    if k == 0:
-        return np.zeros((0, 2))
-    if k > 1:
-        support_counts = np.sum(np.abs(basis) > 1e-12, axis=0)
-        if np.any(support_counts > 1):
-            return None
-    box = np.empty((k, 2))
-    for j in range(k):
-        lo, hi = -np.inf, np.inf
-        for i in range(basis.shape[1]):
-            u = basis[j, i]
-            if abs(u) <= 1e-12:
-                continue
-            a = (0.0 - particular[i]) / u
-            bnd = (1.0 - particular[i]) / u
-            lo = max(lo, min(a, bnd))
-            hi = min(hi, max(a, bnd))
-        box[j] = (lo, hi)
-    return box
+    if np.any(np.sum(np.abs(basis) > 1e-12, axis=0) > 1):
+        return None
+    half_width = 0.5 / np.max(np.abs(basis), axis=1)
+    return np.stack([-half_width, half_width], axis=1)
 
 
 def limit_set(dm: DriftModel) -> LimitSet:
-    """Solve b + zK = 0 (residual below 1e-8): particular solution plus
-    left-null directions of K."""
-    n = dm.K.shape[0]
-    half = np.full(n, 0.5)
-    if np.max(np.abs(dm(half))) < _RESIDUAL_TOL:
-        particular = half
-    else:
-        particular, *_ = np.linalg.lstsq(dm.K.T, -dm.b, rcond=None)
-        if np.max(np.abs(dm(particular))) > _RESIDUAL_TOL:
-            raise InconsistentDriftError(
-                f"no solution of h(z)=0 (residual {np.max(np.abs(dm(particular))):.2e})")
-    basis = np.real_if_close(nullspace(dm.K))
-    if np.iscomplexobj(basis):
-        raise InconsistentDriftError("complex null directions for a real drift")
+    """Solve b + zK = 0: the point 1/2 1 plus the left-null directions of K.
+
+    Every model's h vanishes at 1/2 1 (T is column stochastic, so
+    1/2 1 K = -b); InconsistentDriftError when the residual there is not
+    below 1e-8, i.e. dm is no model's drift.
+    """
+    half = np.full(dm.K.shape[0], 0.5)
+    residual = np.max(np.abs(dm(half)))
+    if not residual < _RESIDUAL_TOL:
+        raise InconsistentDriftError(f"1/2 is no zero of h (residual {residual:.2e})")
+    basis = nullspace(dm.K)
     kind = {0: "unique_point", 1: "one_parameter", 2: "two_parameter"}.get(
         basis.shape[0], "general")
-    return LimitSet(kind=kind, particular=particular, basis=basis,
-                    box=_param_box(particular, basis))
+    return LimitSet(kind=kind, particular=half, basis=basis, box=_param_box(basis))
 
 
 def classify(problem: Problem) -> ClassificationReport:
@@ -322,19 +306,17 @@ def classify(problem: Problem) -> ClassificationReport:
         if neigh == "self_and_neighbour":
             return report("friedman_unique")
         # remaining: FTSR p=0 or FTNR p=1 on a bipartite graph
-        if uniform and diag:
+        if uniform:
             return report("friedman_bipartite_partial_sync")
         return report("unknown", with_limit=False)
 
     if not g.directed and not cfg.is_friedman:
-        if neigh == "self" and p < 1.0:
-            if (regular and uniform) or (uniform and diag):
-                return report("polya_regular_sync")
+        if neigh == "self" and p < 1.0 and uniform:
+            return report("polya_regular_sync")
         elif neigh == "neighbour" and regular and uniform:
             if p > 0.0 or not bip:
                 return report("polya_regular_sync")
-            if bip:
-                return report("polya_bipartite_two_param")
+            return report("polya_bipartite_two_param")
         elif neigh == "self_and_neighbour" and regular and uniform:
             return report("polya_regular_sync")
         return report("unknown", with_limit=False)

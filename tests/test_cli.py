@@ -241,6 +241,24 @@ def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# int() and float() also read '1_0' as 10 and Unicode digits; the number
+# reader takes ASCII text without '_' only, and names the text it refused
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--steps", "1_0", "steps must be an integer, got '1_0'"),
+    ("--replicas", "\u0661", "replicas must be an integer, got '\u0661'"),
+    ("--p", "\u0660.\u0665", "p must be a finite number, got '\u0660.\u0665'"),
+    ("--p", "0_5", "p must be a finite number, got '0_5'"),
+    ("--t0", "4,1_0,4,4", "t0 must be an integer, got '1_0'"),
+    ("--schedule", "geometric(1_5)", "bad schedule 'geometric(1_5)'"),
+], ids=["underscore-steps", "arabic-indic-replicas", "arabic-indic-p", "underscore-p",
+        "underscore-t0-entry", "underscore-ratio"])
+def test_simulate_number_spelling_exit_2(c4_file, flag, value, needle, capsys):
+    rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
+               flag, value])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"graph = {c4_file}\nmodel = zzz\n")
@@ -262,9 +280,12 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
      "directed must be true or false, got 'maybe'"),
     ("graph = GRAPH\nmodel = ftsr\nout = x.json\n", "unknown key(s) 'out'"),
     ("graph = GRAPH\nmodel = ftsr # \udcff\n", "is not UTF-8 text"),
+    ('{"graph": "GRAPH", "model": "ftsr", "steps": "1_0"}', "steps must be an integer, got '1_0'"),
+    ("graph = GRAPH\nmodel = ftsr\np = \u0660.\u0665\n",
+     "p must be a finite number, got '\u0660.\u0665'"),
 ], ids=["malformed-json", "non-string-model", "non-string-graph", "fractional-s",
         "fractional-steps", "fractional-replicas", "boolean-seed", "non-boolean-directed",
-        "flag-only-key", "non-utf8"])
+        "flag-only-key", "non-utf8", "underscore-steps", "arabic-indic-p"])
 def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     cfgfile = tmp_path / "run.json"
     # a lone surrogate escape writes one byte that is not UTF-8
@@ -345,6 +366,10 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "'sigma' must be a finite number, got inf"),
     ('{"steps": 10, "criteria": [{"kind": "convergence"}]} \udcff',
      "is not UTF-8 text"),
+    ('{"steps": "1_0", "criteria": [{"kind": "convergence"}]}',
+     "bad plan budget: steps must be an integer, got '1_0'"),
+    ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerance": "\u0660.\u0665"}]}',
+     "'tolerance' must be a finite number, got '\u0660.\u0665'"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -355,7 +380,7 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "fractional-schedule-time", "infinite-tolerance", "boolean-tolerance",
         "boolean-window", "misspelt-plan-key", "null-target", "nan-target",
         "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry",
-        "non-utf8"])
+        "non-utf8", "underscore-steps", "arabic-indic-tolerance"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test
@@ -661,10 +686,37 @@ _PINNED_CODES = [(code, p) for code in ("ftsr", "ftnr", "ftsnr", "ptsr", "ptnr",
                  for p in ("0", "0.5", "1")]
 
 
+def _assert_limit_set_pinned(ls, short, graph):
+    """The `limit_set` block of a theorem: none for "--"; else the point 1/2 1
+    plus orthonormal rows, each up to sign, along the theorem's directions (none
+    for the unique theorems, the bipartition contrast for fb, the diagonal for
+    pr, the two side indicators for p2, and fig2's family
+    (3a - 1, 2 - 3a, 1 - a, a, 1 - a) for dg), with the box +-1/(2 max|u|)."""
+    if short == "--":
+        assert ls is None
+        return
+    n = graph["n"]
+    side = np.isin(np.arange(n), (graph["bipartition"] or [[]])[0])
+    dirs = {"fu": [], "du": [], "fb": [side - 0.5], "pr": [np.ones(n)],
+            "p2": [side, ~side], "dg": [[3, -3, -1, 1, -1]]}[short]
+    want = np.array(dirs, float).reshape(len(dirs), n)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert ls["kind"] == ("unique_point", "one_parameter", "two_parameter")[len(dirs)]
+    assert ls["particular"] == [0.5] * n
+    basis = np.array(ls["basis"]).reshape(want.shape)
+    signs = np.sign(np.sum(basis * want, axis=1, keepdims=True))
+    assert np.allclose(signs * basis, want, rtol=0, atol=1e-11)
+    half_width = 0.5 / np.abs(want).max(axis=1)
+    assert np.allclose(np.reshape(ls["parameter_box"], (-1, 2)),
+                       np.stack([-half_width, half_width], axis=1), rtol=0, atol=1e-11)
+
+
 # The integer and bool blocks of `analyze`, which do not depend on the BLAS
 # build: `graph` (edges checked against the input), the assumption flags
 # (connected, bipartite, regular, uniform_t0, diagonalizable[, g1_odd_cycle])
 # and the theorem of each model at p = 0, 0.5, 1, in _PINNED_CODES order.
+# Also the `limit_set` block each theorem fixes, up to the signs of its basis
+# rows (_assert_limit_set_pinned).
 @pytest.mark.parametrize("edges,directed,graph,checks,theorems", [
     (K2_EDGES, False,
      {"n": 2, "degrees": [1, 1], "bipartition": [[0], [1]], "regular_degree": 1}, "11111",
@@ -714,6 +766,7 @@ def test_analyze_graph_and_classification_pinned(tmp_path, edges, directed, grap
         assert rep["graph"] == want_graph
         assert rep["classification"] == {"applicable_theorem": _THEOREMS[short],
                                          "assumptions_checked": want_checks}, (code, p)
+        _assert_limit_set_pinned(rep["limit_set"], short, want_graph)
 
 
 # SHA-256 of `simulate --out` and `--stats-out`. The RNG stream layout is part

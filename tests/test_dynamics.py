@@ -6,7 +6,7 @@ from urnnet.dynamics import (
     MODEL_CODES,
     ModelConfig,
     StepKernel,
-    check_totals,
+    check_budget,
     parse_schedule,
     simulate_ensemble,
 )
@@ -305,11 +305,11 @@ def test_totals_deterministic_identity(c5):
 def test_totals_bound_is_exact_at_int64_max(k2):
     top = int(np.iinfo(np.int64).max)
     P = problem(k2, "ftsnr", p=0.5, s=2, C=3, t0=top - 120, w0=1)  # 12 balls a step
-    check_totals(P, 10)
+    check_budget(P, 10, 1, [10], 0)
     raw = simulate_ensemble(P, 10, schedule=[10])
     assert raw.T[-1].tolist() == [top, top]
     with pytest.raises(ConfigError, match="overflow int64"):
-        check_totals(P, 11)
+        check_budget(P, 11, 1, [11], 0)
     with pytest.raises(ConfigError, match="overflow int64"):
         simulate_ensemble(P, 11)
 

@@ -60,6 +60,11 @@ def test_parse_fig2_in_degrees():
     ("0 1\n1 1000000000000000", True, NotWeaklyConnectedError),
     ("0 1\n1 99999999999999999999", False, NotConnectedError),  # beyond int64
     ("0 1\n1 99999999999999999999", True, NotWeaklyConnectedError),
+    # int() reads these as 2, 0 and 1; vertex ids are ASCII digits only
+    ("0 1\n1 0_2", False, EmptyGraphError),
+    ("0 1\n1 0_0", True, EmptyGraphError),
+    ("0 \u0661", False, EmptyGraphError),
+    ("0 \u0661\n\u0661 0", True, EmptyGraphError),
 ])
 def test_parse_rejects(text, directed, err):
     with pytest.raises(err):

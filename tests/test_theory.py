@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import ModelConfig
-from urnnet.errors import AssumptionViolatedError, NotApplicableError
+from urnnet.errors import AssumptionViolatedError, InconsistentDriftError, NotApplicableError
 from urnnet.graphs import parse_edge_list
 from urnnet.theory import (
+    DriftModel,
     Problem,
     classify,
     decay_exponents,
@@ -32,6 +33,10 @@ ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
 # directed graph whose Jacobian is defective for every Friedman model at
 # p in (0, 1): its eigenvector matrix has condition number ~1e15 or worse
 DEFECTIVE_EDGES = "0 1\n0 2\n1 3\n2 0"
+
+_GRAPHS = st.tuples(st.integers(0, 10_000), st.booleans()).map(
+    lambda a: (random_directed_graph if a[1] else random_connected_graph)(
+        np.random.default_rng(a[0])))
 
 
 # --- drift assembly -------------------------------------------------------
@@ -138,6 +143,32 @@ def test_limit_family_fig2(fig2):
     ends = {tuple(np.round(ls.particular + b * ls.basis[0], 9)) for b in ls.box[0]}
     want = {tuple(np.round(family(a), 9)) for a in (1 / 3, 2 / 3)}
     assert ends == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_GRAPHS, st.sampled_from(ALL_CODES), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_limit_set_is_centred_at_half(g, code, p):
+    dm = drift_model(problem(g, code, p))
+    half = np.full(g.n, 0.5)
+    assert np.max(np.abs(dm(half))) < 1e-12
+    ls = limit_set(dm)
+    assert np.array_equal(ls.particular, half)
+    for u, ends in zip(ls.basis, [] if ls.box is None else ls.box):
+        for c in ends:  # inside the cube, and on its boundary
+            z = half + c * u
+            assert np.all((z >= -1e-12) & (z <= 1 + 1e-12)), (code, p, c)
+            assert np.min(np.minimum(np.abs(z), np.abs(1 - z))) <= 1e-12, (code, p, c)
+
+
+def test_limit_set_rejects_a_drift_without_the_zero_half():
+    with pytest.raises(InconsistentDriftError):
+        limit_set(DriftModel(b=np.ones(3), K=np.eye(3)))
+
+
+def test_limit_set_box_is_none_when_supports_overlap():
+    # the left null space {z : z1 + z2 = 2 z3} has no basis of disjoint supports
+    ls = limit_set(DriftModel(b=np.zeros(3), K=np.outer([1.0, 1.0, -2.0], [1.0, 0.0, 0.0])))
+    assert ls.kind == "two_parameter" and ls.box is None
 
 
 def test_polya_limit_families(c4, c5):
@@ -319,11 +350,6 @@ def test_lyapunov_matches_closed_forms(k2, c4, c5):
                 assert np.max(np.abs(rep.Sigma - sigma_lyapunov(P))) < 1e-6
                 checked += 1
     assert checked >= 12
-
-
-_GRAPHS = st.tuples(st.integers(0, 10_000), st.booleans()).map(
-    lambda a: (random_directed_graph if a[1] else random_connected_graph)(
-        np.random.default_rng(a[0])))
 
 
 @settings(max_examples=80, deadline=None)
