@@ -14,7 +14,7 @@ from .experiments import (
     sync_metrics,
     verify,
 )
-from .graphs import GraphAnalysis, GraphSpec, analyze_graph, load_edge_file, matrices, parse_edge_list
+from .graphs import GraphSpec, load_edge_file, matrices, parse_edge_list
 from .spectral import SpectralData, eigendecompose, nullspace
 from .theory import (
     ClassificationReport,

@@ -267,8 +267,7 @@ def _limit_set_json(ls: Optional[theory.LimitSet]):
 
 def cmd_analyze(args) -> int:
     problem, _ = _load_problem(args)
-    cfg, g, ga, sd, dm = (problem.cfg, problem.g, problem.analysis, problem.spectral,
-                          problem.drift)
+    cfg, g, sd, dm = problem.cfg, problem.g, problem.spectral, problem.drift
     jac_eigs, stable = theory.stability(dm)
     cls = problem.classification
 
@@ -278,10 +277,10 @@ def cmd_analyze(args) -> int:
             "directed": g.directed,
             "edges": [list(e) for e in g.edges],
             "degrees": problem.deg,
-            "bipartition": [sorted(part) for part in ga.bipartition] if ga.bipartition else None,
-            "regular_degree": ga.regular_degree,
-            "scc_order": [sorted(c) for c in ga.scc_order] if ga.scc_order else None,
-            "g1_is_odd_cycle": ga.g1_is_odd_cycle,
+            "bipartition": [sorted(part) for part in g.bipartition] if g.bipartition else None,
+            "regular_degree": g.regular_degree,
+            "scc_order": [sorted(c) for c in g.scc_order] if g.scc_order else None,
+            "g1_is_odd_cycle": g.g1_is_odd_cycle,
         },
         "model": {
             "code": cfg.code, "p": sig12(cfg.p), "s": cfg.s, "C": cfg.C,

@@ -278,10 +278,10 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
     txt = schedule.strip().lower() if isinstance(schedule, str) else None
     if txt == "all":
         return np.arange(steps + 1)
-    geometric = txt is not None and txt.startswith("geometric")
+    geometric = txt is not None and txt.startswith("geometric(") and txt.endswith(")")
     try:
         if geometric:
-            r = read_number(txt[len("geometric"):].strip("():") or 1.2, "ratio", integer=False)
+            r = read_number(txt[len("geometric("):-1], "ratio", integer=False)
         else:
             ts = {read_number(t, "time")
                   for t in (schedule if txt is None else txt.replace(",", " ").split())}

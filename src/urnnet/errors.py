@@ -6,41 +6,7 @@ class UrnnetError(Exception):
 
 
 class GraphError(UrnnetError):
-    """Invalid graph input."""
-
-
-class SelfLoopError(GraphError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"self-loop at vertex {vertex}")
-
-
-class IndexOutOfRangeError(GraphError):
-    def __init__(self, vertex, n):
-        self.vertex = vertex
-        self.n = n
-        super().__init__(f"vertex index {vertex} outside [0, {n})")
-
-
-class EmptyGraphError(GraphError):
-    def __init__(self, msg="graph has no edges"):
-        super().__init__(msg)
-
-
-class NotConnectedError(GraphError):
-    def __init__(self, msg="undirected graph is not connected"):
-        super().__init__(msg)
-
-
-class NotWeaklyConnectedError(GraphError):
-    def __init__(self, msg="directed graph is not weakly connected"):
-        super().__init__(msg)
-
-
-class ZeroInDegreeError(GraphError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex} has in-degree 0")
+    """Invalid graph input; the message names the fault."""
 
 
 class ConfigError(UrnnetError):

@@ -60,15 +60,15 @@ class SyncMetrics:
 def sync_metrics(problem: Problem, Z: np.ndarray,
                  require_partition: bool = False) -> SyncMetrics:
     """Per-replica synchronization metrics of an (R, n) snapshot Z."""
-    deg, ga = problem.deg, problem.analysis
+    deg, g = problem.deg, problem.g
     dbar = deg.sum()
     zbar = Z @ deg / dbar
     global_spread = np.abs(Z - zbar[:, None]).max(axis=1)
-    if ga.bipartition is None:
+    if g.bipartition is None:
         if require_partition:
             raise NoBipartitionError("graph admits no bipartition")
         return SyncMetrics(zbar=zbar, global_spread=global_spread)
-    V, W = ga.bipartition
+    V, W = g.bipartition
     vi = sorted(V)
     wi = sorted(W)
     dv = deg[vi].sum()
@@ -274,7 +274,7 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
             if c["target"].shape not in ((), (n,)):
                 raise ConfigError(f"'target' must be a number or {n} numbers")
         if kind == "sync":
-            default = "partition" if problem.analysis.bipartition else "global"
+            default = "partition" if problem.g.bipartition else "global"
             c["scope"] = crit.get("scope", default)
             if c["scope"] not in ("global", "partition"):
                 raise ConfigError(f"'scope' must be 'global' or 'partition', got {c['scope']!r}")

@@ -3,7 +3,8 @@
 Vertices are 0-based integers. Undirected graphs store each edge once and
 symmetrize on matrix export; directed edges are (tail, head) pairs. Graphs
 with self-loops, isolated vertices, or (for directed inputs) vertices of
-in-degree zero are rejected at construction.
+in-degree zero are rejected at construction, with a GraphError naming the
+fault.
 """
 from __future__ import annotations
 
@@ -13,30 +14,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    EmptyGraphError,
-    GraphError,
-    IndexOutOfRangeError,
-    NotConnectedError,
-    NotWeaklyConnectedError,
-    SelfLoopError,
-    ZeroInDegreeError,
-)
+from .errors import GraphError
 
-__all__ = [
-    "GraphSpec",
-    "GraphAnalysis",
-    "parse_edge_list",
-    "load_edge_file",
-    "matrices",
-    "analyze_graph",
-]
+__all__ = ["GraphSpec", "parse_edge_list", "load_edge_file", "matrices"]
 
 
 @dataclass(frozen=True)
 class GraphSpec:
     """Validated edge-list graph. Immutable; safe to share across threads.
-    Its one adjacency, the in-neighbour lists, is built once on first use."""
+    Its one adjacency, the in-neighbour lists, its colouring and its
+    condensation are each built once on first use; a structural fact that
+    does not apply to the graph's kind is None."""
 
     n: int
     edges: tuple
@@ -58,15 +46,39 @@ class GraphSpec:
             return _two_colour(*_in_neighbour_lists(self.n, self.edges, both_ways=True))
         return _two_colour(*self.in_neighbours)
 
+    @cached_property
+    def bipartition(self) -> Optional[tuple]:
+        """(frozenset V, frozenset W), the colour classes with 0 in V, of a
+        bipartite undirected graph."""
+        colour, bipartite = self._two_colouring
+        if self.directed or not bipartite:
+            return None
+        V = frozenset(i for i in range(self.n) if colour[i] == 0)
+        return V, frozenset(range(self.n)) - V
 
-@dataclass(frozen=True)
-class GraphAnalysis:
-    """Structural classification of a GraphSpec."""
+    @cached_property
+    def regular_degree(self) -> Optional[int]:
+        """The common degree of a regular undirected graph."""
+        deg = self.in_neighbours[1]
+        return None if self.directed or np.any(deg != deg[0]) else int(deg[0])
 
-    bipartition: Optional[tuple] = None  # (frozenset V, frozenset W), 0 in V
-    regular_degree: Optional[int] = None
-    scc_order: Optional[tuple] = None  # SCCs in topological order (directed)
-    g1_is_odd_cycle: Optional[bool] = None  # every source SCC is an odd cycle
+    @cached_property
+    def _condensation(self):
+        """(scc_order, g1_is_odd_cycle) of a directed graph from one Tarjan
+        pass; (None, None) on an undirected one."""
+        if not self.directed:
+            return None, None
+        return _topological_scc_order(self, _tarjan_sccs(self))
+
+    @cached_property
+    def scc_order(self) -> Optional[tuple]:
+        """Strongly connected components (frozensets) in topological order."""
+        return self._condensation[0]
+
+    @cached_property
+    def g1_is_odd_cycle(self) -> Optional[bool]:
+        """Whether every source component (G1 is one) is an odd directed cycle."""
+        return self._condensation[1]
 
 
 def parse_edge_list(text: str, directed: bool) -> GraphSpec:
@@ -84,23 +96,23 @@ def parse_edge_list(text: str, directed: bool) -> GraphSpec:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise EmptyGraphError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
             if not line.isascii() or "_" in line:
                 raise ValueError  # int() also reads '1_0' and Unicode digits
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EmptyGraphError(f"line {lineno}: non-integer vertex in {raw!r}")
+            raise GraphError(f"line {lineno}: non-integer vertex in {raw!r}")
         pairs.append((u, v))
     if not pairs:
-        raise EmptyGraphError()
+        raise GraphError("graph has no edges")
 
     n = max(map(max, pairs)) + 1
     for u, v in pairs:
         if u == v:
-            raise SelfLoopError(u)
+            raise GraphError(f"self-loop at vertex {u}")
         if u < 0 or v < 0:
-            raise IndexOutOfRangeError(u if u < 0 else v, n)
+            raise GraphError(f"vertex index {u if u < 0 else v} outside [0, {n})")
     if len({x for pair in pairs for x in pair}) < n:  # some vertex has no edge
         raise _disconnected(directed)
 
@@ -126,7 +138,8 @@ def load_edge_file(path, directed: bool) -> GraphSpec:
 
 
 def _disconnected(directed: bool) -> GraphError:
-    return NotWeaklyConnectedError() if directed else NotConnectedError()
+    return GraphError("directed graph is not weakly connected" if directed
+                      else "undirected graph is not connected")
 
 
 def _validate(g: GraphSpec) -> None:
@@ -135,7 +148,7 @@ def _validate(g: GraphSpec) -> None:
     if g.directed:
         zero = np.flatnonzero(g.in_neighbours[1] == 0)
         if zero.size:
-            raise ZeroInDegreeError(int(zero[0]))
+            raise GraphError(f"vertex {zero[0]} has in-degree 0")
 
 
 def _in_neighbour_lists(n: int, edges: tuple, both_ways: bool):
@@ -178,25 +191,6 @@ def matrices(g: GraphSpec) -> np.ndarray:
     A = np.zeros((g.n, g.n))
     A[flat, np.repeat(np.arange(g.n), deg)] = 1.0
     return A
-
-
-def analyze_graph(g: GraphSpec) -> GraphAnalysis:
-    """Classify a graph: bipartiteness, regularity, SCC structure."""
-    if g.directed:
-        order, sources_odd = _topological_scc_order(g, _tarjan_sccs(g))
-        return GraphAnalysis(
-            scc_order=tuple(frozenset(c) for c in order),
-            g1_is_odd_cycle=sources_odd,
-        )
-
-    colour, bipartite = g._two_colouring
-    bipartition = None
-    if bipartite:
-        V = frozenset(i for i in range(g.n) if colour[i] == 0)
-        bipartition = (V, frozenset(range(g.n)) - V)
-    deg = g.in_neighbours[1]
-    regular = int(deg[0]) if np.all(deg == deg[0]) else None
-    return GraphAnalysis(bipartition=bipartition, regular_degree=regular)
 
 
 def _tarjan_sccs(g: GraphSpec) -> list:
@@ -250,9 +244,9 @@ def _tarjan_sccs(g: GraphSpec) -> list:
 
 
 def _topological_scc_order(g: GraphSpec, sccs):
-    """Order SCCs so every cross-component edge goes forward, and tell
-    whether every source component (one that no edge enters from another
-    component; G1 is one) is a single directed cycle of odd length."""
+    """(SCCs as frozensets ordered so every cross-component edge goes
+    forward, whether every source component (one that no edge enters from
+    another component) is a single directed cycle of odd length)."""
     order = list(reversed(sccs))
     comp_of = [0] * g.n
     for i, comp in enumerate(order):
@@ -272,4 +266,4 @@ def _topological_scc_order(g: GraphSpec, sccs):
     # only when it is a single directed cycle
     sources_odd = all(len(comp) % 2 == 1 and inner[i] == len(comp)
                       for i, comp in enumerate(order) if not entered[i])
-    return order, sources_odd
+    return tuple(frozenset(c) for c in order), sources_odd

@@ -44,7 +44,7 @@ from .errors import (
     LyapunovFailure,
     NotApplicableError,
 )
-from .graphs import GraphAnalysis, GraphSpec, analyze_graph, matrices
+from .graphs import GraphSpec, matrices
 from .spectral import SpectralData, ZERO_EIG_TOL, eigendecompose, nullspace
 
 __all__ = [
@@ -197,10 +197,6 @@ class Problem:
         return (eta * np.eye(self.g.n) + kappa * self.A) / omega[None, :].astype(float)
 
     @cached_property
-    def analysis(self) -> GraphAnalysis:
-        return analyze_graph(self.g)
-
-    @cached_property
     def spectral(self) -> SpectralData:
         return eigendecompose(self)
 
@@ -276,10 +272,10 @@ def classify(problem: Problem) -> ClassificationReport:
     predicted limit set; reports 'unknown' (and no prediction) when none
     applies.
     """
-    cfg, g, ga, sd = problem.cfg, problem.g, problem.analysis, problem.spectral
+    cfg, g, sd = problem.cfg, problem.g, problem.spectral
     p = cfg.p
-    bip = ga.bipartition is not None
-    regular = ga.regular_degree is not None
+    bip = g.bipartition is not None
+    regular = g.regular_degree is not None
     uniform = cfg.uniform_t0
     diag = sd.diagonalizable
     checks = [
@@ -290,7 +286,7 @@ def classify(problem: Problem) -> ClassificationReport:
         ("diagonalizable", diag),
     ]
     if g.directed:
-        checks.append(("g1_odd_cycle", bool(ga.g1_is_odd_cycle)))
+        checks.append(("g1_odd_cycle", bool(g.g1_is_odd_cycle)))
     checks = tuple(checks)
 
     def report(theorem, with_limit=True):
@@ -323,7 +319,7 @@ def classify(problem: Problem) -> ClassificationReport:
 
     # directed graphs: Friedman only
     if cfg.is_friedman:
-        odd = bool(ga.g1_is_odd_cycle)
+        odd = bool(g.g1_is_odd_cycle)
         if neigh == "self" and (p > 0.0 or odd):
             return report("directed_friedman_unique")
         if neigh == "neighbour" and (0.0 < p < 1.0 or (p == 1.0 and odd)):
@@ -392,7 +388,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
 
     n, ADi = g.n, problem.ADi
     # A D^-1 is symmetric exactly when the (connected, undirected) graph is regular
-    symmetric = problem.analysis.regular_degree is not None
+    symmetric = g.regular_degree is not None
     rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)
 

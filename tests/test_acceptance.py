@@ -272,7 +272,7 @@ def test_criterion_8_exact_algebra():
     for name, g in graphs.items():
         P = problem(g)
         M = np.eye(g.n) + P.A / P.deg[None, :]
-        bip = P.analysis.bipartition is not None
+        bip = g.bipartition is not None
         ranks_ok &= g.n - nullspace(M).shape[0] == (g.n - 1 if bip else g.n)
     report("C8c rank(I+AD^-1) = N-1 iff bipartite", ranks_ok, "K2/P3/C4/C5/grid3x3")
 

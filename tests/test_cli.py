@@ -233,6 +233,13 @@ def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
     ("--c", "4611686018427387904"),  # C*s alone is 2**63
     ("--t0", "9223372036854775807"),  # the first step overflows
     ("--t0", "9223372036854775808"),  # does not fit in int64 at all
+    # a geometric schedule is spelt geometric(r) and nothing else
+    ("--schedule", "geometric(1.2"),
+    ("--schedule", "geometric1.5"),
+    ("--schedule", "geometric)2("),
+    ("--schedule", "geometric::2"),
+    ("--schedule", "geometric"),
+    ("--schedule", "geometric()"),
 ])
 def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
@@ -370,6 +377,10 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "bad plan budget: steps must be an integer, got '1_0'"),
     ('{"steps": 10, "criteria": [{"kind": "convergence", "tolerance": "\u0660.\u0665"}]}',
      "'tolerance' must be a finite number, got '\u0660.\u0665'"),
+    *(('{"steps": 10, "schedule": "%s", "criteria": [{"kind": "convergence"}]}' % spelling,
+       f"bad plan budget: bad schedule '{spelling}'")
+      for spelling in ("geometric(1.2", "geometric1.5", "geometric)2(", "geometric::2",
+                       "geometric", "geometric()")),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -380,7 +391,9 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "fractional-schedule-time", "infinite-tolerance", "boolean-tolerance",
         "boolean-window", "misspelt-plan-key", "null-target", "nan-target",
         "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry",
-        "non-utf8", "underscore-steps", "arabic-indic-tolerance"])
+        "non-utf8", "underscore-steps", "arabic-indic-tolerance", "unclosed-geometric",
+        "geometric-without-parentheses", "geometric-reversed-parentheses", "geometric-colons",
+        "bare-geometric", "empty-geometric"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

@@ -99,19 +99,19 @@ def test_directed_fig2_spectrum(fig2):
 def test_spectrum_properties_random_graphs(seed):
     g = random_connected_graph(np.random.default_rng(seed))
     P = problem(g)
-    A, d, sd, ga = P.A, P.deg, P.spectral, P.analysis
+    A, d, sd = P.A, P.deg, P.spectral
     lam = sd.eigenvalues
     M = np.eye(g.n) + A / d[None, :]
     assert np.all(lam > -1e-10) and np.all(lam < 2 + 1e-10)
-    bipartite = ga.bipartition is not None
+    bipartite = g.bipartition is not None
     assert (np.abs(lam) < 1e-8).any() == bipartite
     if bipartite:
         # zero eigenvalue is simple and its left eigenvector alternates with
         # constant magnitude between the two partitions
         assert np.sum(np.abs(lam) < 1e-8) == 1
         left = nullspace(M)[0]
-        left = left / left[min(ga.bipartition[0])]
-        V, W = ga.bipartition
+        left = left / left[min(g.bipartition[0])]
+        V, W = g.bipartition
         assert np.allclose([left[i] for i in sorted(V)], 1.0, atol=1e-8)
         assert np.allclose([left[i] for i in sorted(W)], -1.0, atol=1e-8)
     # left Perron vector of the column-stochastic transfer matrix
