@@ -427,9 +427,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_limit(args) -> int:
     problem, _ = _load_problem(args)
-    ls = problem.classification.predicted_limit
-    if ls is None:
-        ls = theory.limit_set(problem.drift)
+    ls = theory.limit_set(problem.drift)  # the limit classify predicts, when it predicts one
     with _open_out(args.out) as fh:
         fh.write("vector,component,value\n")
         fh.write(_csv_rows("particular,%d,%.12g\n", count(), ls.particular.tolist()))

@@ -373,7 +373,7 @@ def _evaluate_criterion(c: dict, problem, ensemble) -> VerificationEntry:
 
     if kind == "fluctuation":
         rep = problem.fluctuation
-        if rep.regime != "sqrt_t" or rep.Sigma is None:
+        if rep.regime != "sqrt_t":
             raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
         if c["budget"][1] < 2:  # reported ahead of an off-schedule "at"
             raise TooFewReplicasError("need at least 2 replicas for a covariance")

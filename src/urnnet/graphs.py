@@ -1,10 +1,10 @@
-"""Finite graphs hosting the urns: parsing, validation, structure analysis.
+"""Finite graphs hosting the urns: parsing, validation, a BFS 2-colouring
+and, for directed graphs, a Kosaraju-Sharir condensation.
 
 Vertices are 0-based integers. Undirected graphs store each edge once and
-symmetrize on matrix export; directed edges are (tail, head) pairs. Graphs
-with self-loops, isolated vertices, or (for directed inputs) vertices of
-in-degree zero are rejected at construction, with a GraphError naming the
-fault.
+symmetrize on matrix export; directed edges are (tail, head) pairs. A graph
+with a self-loop, an isolated vertex or (if directed) a vertex of in-degree
+zero is rejected at construction, with a GraphError naming the fault.
 """
 from __future__ import annotations
 
@@ -64,11 +64,9 @@ class GraphSpec:
 
     @cached_property
     def _condensation(self):
-        """(scc_order, g1_is_odd_cycle) of a directed graph from one Tarjan
-        pass; (None, None) on an undirected one."""
-        if not self.directed:
-            return None, None
-        return _topological_scc_order(self, _tarjan_sccs(self))
+        """(scc_order, g1_is_odd_cycle) of a directed graph from the two
+        passes of _condense; (None, None) on an undirected one."""
+        return _condense(self) if self.directed else (None, None)
 
     @cached_property
     def scc_order(self) -> Optional[tuple]:
@@ -193,77 +191,60 @@ def matrices(g: GraphSpec) -> np.ndarray:
     return A
 
 
-def _tarjan_sccs(g: GraphSpec) -> list:
-    """Iterative Tarjan; emits SCCs in reverse topological order."""
+def _condense(g: GraphSpec):
+    """(SCCs as frozensets in topological order, whether every source
+    component, one no arc enters from another, is an odd directed cycle).
+    Kosaraju-Sharir: a DFS over the out-arcs (roots and arcs ascending)
+    records finish order; by decreasing finish time, each unclaimed vertex
+    then claims its component by flooding the in-neighbour lists."""
     succ = [[] for _ in range(g.n)]
     for u, v in g.edges:
         succ[u].append(v)
-    index = [0]
-    indices = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-
+    seen, finished = [False] * g.n, []
     for root in range(g.n):
-        if root in indices:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                indices[v] = low[v] = index[0]
-                index[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if w not in indices:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, arcs = stack[-1]
+            for w in arcs:  # resumes where v's last visit left off
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], indices[w])
-            if recurse:
-                continue
-            if low[v] == indices[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
+            else:
+                stack.pop()
+                finished.append(v)
 
+    flat, deg = g.in_neighbours
+    flat, deg, ends = flat.tolist(), deg.tolist(), np.cumsum(deg).tolist()
+    comp_of, order = [-1] * g.n, []
+    # a component's first-found vertex finishes last in it, so components
+    # are claimed in decreasing order of those finish times
+    for root in reversed(finished):
+        if comp_of[root] != -1:
+            continue
+        comp_of[root] = len(order)
+        comp = [root]
+        for v in comp:  # the component grows as the flood claims vertices
+            for u in flat[ends[v] - deg[v]:ends[v]]:
+                if comp_of[u] == -1:
+                    comp_of[u] = len(order)
+                    comp.append(u)
+        order.append(frozenset(comp))
 
-def _topological_scc_order(g: GraphSpec, sccs):
-    """(SCCs as frozensets ordered so every cross-component edge goes
-    forward, whether every source component (one that no edge enters from
-    another component) is a single directed cycle of odd length)."""
-    order = list(reversed(sccs))
-    comp_of = [0] * g.n
-    for i, comp in enumerate(order):
-        for v in comp:
-            comp_of[v] = i
-    inner = [0] * len(order)
-    entered = [False] * len(order)
+    inner, entered = [0] * len(order), [False] * len(order)
     for u, v in g.edges:
         cu, cv = comp_of[u], comp_of[v]
         if cu == cv:
             inner[cu] += 1
         elif cu > cv:
-            raise AssertionError("SCC order violates an edge; Tarjan bug")
+            raise AssertionError("SCC order violates an arc")
         else:
             entered[cv] = True
-    # an SCC on k >= 2 vertices has at least k inner edges, and exactly k
+    # an SCC on k >= 2 vertices has at least k inner arcs, and exactly k
     # only when it is a single directed cycle
     sources_odd = all(len(comp) % 2 == 1 and inner[i] == len(comp)
                       for i, comp in enumerate(order) if not entered[i])
-    return tuple(frozenset(c) for c in order), sources_odd
+    return tuple(order), sources_odd

@@ -45,7 +45,7 @@ from .errors import (
     NotApplicableError,
 )
 from .graphs import GraphSpec, matrices
-from .spectral import SpectralData, ZERO_EIG_TOL, eigendecompose, nullspace
+from .spectral import SpectralData, eigendecompose, nullspace
 
 __all__ = [
     "Problem",
@@ -391,9 +391,9 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     symmetric = g.regular_degree is not None
     rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * cfg.s)
+    closed = symmetric and cfg.neighbourhood in ("self", "neighbour")
 
     if rho > 0.5 + _CRITICAL_TOL:
-        closed = symmetric and cfg.neighbourhood in ("self", "neighbour")
         if closed:
             if cfg.neighbourhood == "self":
                 M = (2 * cfg.p + 1) * np.eye(n) + 2 * (1 - cfg.p) * ADi
@@ -410,8 +410,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
 
     if abs(rho - 0.5) <= _CRITICAL_TOL:
         tilde = None
-        closed = False
-        if symmetric and cfg.neighbourhood in ("self", "neighbour"):
+        if closed:
             nu, U = np.linalg.eigh(ADi)
             if cfg.neighbourhood == "self":
                 shifted = (2 * cfg.p + 1) + 2 * (1 - cfg.p) * nu
@@ -421,7 +420,6 @@ def fluctuation(problem: Problem) -> FluctuationReport:
             if cfg.neighbourhood == "neighbour":
                 B = B * nu * nu  # the noise enters through (A D^-1)^2
             tilde = (U * B[None, :]) @ U.T / (4.0 * cfg.s)
-            closed = True
         return FluctuationReport(
             rho=rho, regime="sqrt_t_over_log_t", Gamma=Gamma, Sigma=None,
             SigmaTilde=tilde, closed_form=closed)
@@ -441,13 +439,10 @@ def decay_exponents(sd: SpectralData) -> DecayPrediction:
     """
     if not sd.diagonalizable:
         raise AssumptionViolatedError("matrix is not diagonalizable")
-    if np.iscomplexobj(sd.eigenvalues):
-        raise AssumptionViolatedError("spectrum is not real")
-    lam = np.asarray(sd.eigenvalues, float)
-    if abs(lam[0]) >= ZERO_EIG_TOL:
-        raise AssumptionViolatedError("no zero eigenvalue: graph is not bipartite")
+    # eigendecompose sets theta only on a real spectrum whose first eigenvalue is zero
     if sd.theta is None:
-        raise AssumptionViolatedError("theta undefined")
+        raise AssumptionViolatedError("no zero eigenvalue: graph is not bipartite")
+    lam = sd.eigenvalues
     # every pair i <= j in row-major order; [1:] drops the zero-zero pair
     minsum = float(np.add.outer(lam, lam)[np.triu_indices(len(lam))][1:].min())
     return DecayPrediction(

@@ -218,11 +218,17 @@ def test_scc_order_is_the_condensation(seed):
     assert sorted(zip(*np.nonzero(matrices(g)))) == arcs
 
 
-@pytest.mark.parametrize("arcs", [MULTI_SOURCE_ARCS, MULTI_SOURCE_RELABELLED])
-def test_g1_odd_cycle_needs_every_source_component(arcs):
+@pytest.mark.parametrize("arcs,order", [
+    (MULTI_SOURCE_ARCS, [[3, 4], [0, 1, 2], [5]]),
+    (MULTI_SOURCE_RELABELLED, [[2, 3, 4], [0, 1], [5]]),
+    ([(0, 1), (1, 0), (2, 1), (3, 4), (4, 3), (3, 1), (5, 2), (2, 5)], [[3, 4], [2, 5], [0, 1]]),
+], ids=["arcs0", "arcs1", "arcs2"])
+def test_g1_odd_cycle_needs_every_source_component(arcs, order):
     g = digraph(arcs)
-    assert len(g.scc_order) == 3
-    assert g.g1_is_odd_cycle is False  # the 2-cycle is a source component too
+    # the order analyze prints: by decreasing finish time of each
+    # component's first-found vertex in the DFS from 0, 1, ...
+    assert [sorted(c) for c in g.scc_order] == order
+    assert g.g1_is_odd_cycle is False  # a 2-cycle is a source component too
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -46,18 +46,21 @@ def count_calls(monkeypatch) -> collections.Counter:
             for ns in namespaces:
                 for key in [k for k, v in vars(ns).items() if v is fn]:
                     monkeypatch.setattr(ns, key, wrapper)
-    for name in ("_two_colour", "_tarjan_sccs"):
+    for name in ("_two_colour", "_condense"):
         monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
     return calls
 
 
-@pytest.mark.parametrize("command,edges,directed,fluctuation", [
-    ("analyze", grid_edges(5, 5), False, 1),
-    ("analyze", FIG2_EDGES, True, 1),
-    ("verify", C5_EDGES, False, 0),  # the default plan has no fluctuation criterion
-], ids=["analyze-grid5x5", "analyze-fig2-directed", "verify-c5"])
+@pytest.mark.parametrize("command,edges,directed,uncalled", [
+    ("analyze", grid_edges(5, 5), False, ()),
+    ("analyze", FIG2_EDGES, True, ()),
+    ("verify", C5_EDGES, False, ("theory.fluctuation",)),  # the default plan has none
+    # the limit set is limit_set(drift) whatever the classification
+    ("export-limit", grid_edges(5, 5), False,
+     ("spectral.eigendecompose", "theory.classify", "theory.fluctuation")),
+], ids=["analyze-grid5x5", "analyze-fig2-directed", "verify-c5", "export-limit-grid5x5"])
 def test_each_derived_fact_is_computed_once(tmp_path, monkeypatch, capsys, command, edges,
-                                            directed, fluctuation):
+                                            directed, uncalled):
     graph = tmp_path / "g.edges"
     graph.write_text(edges + "\n")
     calls = count_calls(monkeypatch)
@@ -70,10 +73,10 @@ def test_each_derived_fact_is_computed_once(tmp_path, monkeypatch, capsys, comma
     capsys.readouterr()
     expected = collections.Counter(
         {f"{layer}.{name}": 1 for layer, names in DERIVING.items() for name in names})
-    expected["theory.fluctuation"] = fluctuation
+    expected.subtract(uncalled)  # from 1 to 0
     # the BFS colouring also checks connectivity, so every graph builds it;
     # only a directed graph builds its condensation
-    expected.update(_two_colour=1, _tarjan_sccs=int(directed))
+    expected.update(_two_colour=1, _condense=int(directed))
     assert calls == expected  # a Counter compares a missing name as 0
 
 
