@@ -321,7 +321,9 @@ def cmd_analyze(args) -> int:
             report["fluctuation"] = {"unavailable": str(exc)}
     else:
         report["fluctuation"] = None
-    if sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
+    if sd.theta is not None and sd.diagonalizable and not problem.walk_drift:
+        report["decay"] = {"unavailable": "the drift is not the graph walk -(I + A D^-1)"}
+    elif sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
         dp = theory.decay_exponents(sd)
         report["decay"] = {
             "mean_exponent": sig12(dp.mean_exponent),
@@ -404,7 +406,7 @@ def cmd_verify(args) -> int:
         what = f"plan file {args.plan}"
         plan = _json_object(_read_text(args.plan, what), what)
     else:
-        plan = experiments.default_plan()
+        plan = experiments.default_plan(problem)
     plan.update(run)
     report = experiments.verify(problem, plan)
     payload = {

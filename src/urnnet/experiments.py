@@ -178,17 +178,25 @@ class VerificationReport:
         return all(e.passed for e in self.entries)
 
 
-def default_plan() -> dict:
-    """Convergence + manifold plan appropriate for any classified model."""
-    return {
-        "steps": 100_000,
-        "replicas": 64,
-        "schedule": "geometric(1.2)",
-        "criteria": [
-            {"kind": "convergence", "tolerance": 0.05},
-            {"kind": "manifold", "tolerance": 0.05},
-        ],
-    }
+# The budget of a plan or criterion that sets none.
+_BUDGET = {"steps": 100_000, "replicas": 64, "schedule": "geometric(1.2)"}
+
+
+def default_plan(problem: Problem) -> dict:
+    """The built-in plan: the _BUDGET defaults and, at tolerance 0.05, the
+    criteria that fit the limit the classification predicts. Convergence
+    targets 1/2 1, so only a unique point gets it; 'unknown' predicts no
+    limit, so its manifold criterion fails with that reason."""
+    theorem = problem.classification.applicable_theorem
+    if theorem in ("friedman_unique", "directed_friedman_unique"):
+        criteria = [{"kind": "convergence"}, {"kind": "manifold"}]
+    elif theorem == "polya_regular_sync":
+        criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "global"}]
+    elif theorem in ("friedman_bipartite_partial_sync", "polya_bipartite_two_param"):
+        criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "partition"}]
+    else:
+        criteria = [{"kind": "manifold"}]
+    return {**_BUDGET, "criteria": [{**c, "tolerance": 0.05} for c in criteria]}
 
 
 # The keys a plan may hold, the keys every criterion may carry, then each
@@ -245,7 +253,7 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
 def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
     """crit read and checked, its defaults applied: a dict of all that
     _evaluate_criterion reads. That is its "kind", "budget" (its own keys,
-    else the plan's, else default_plan()'s and the problem's seed, through
+    else the plan's, else _BUDGET's and the problem's seed, through
     check_budget), "tolerance", "at" (default the last step) and its kind's
     own keys converted; "written" is the convergence target or the sync
     cross_sum_tolerance as the plan wrote it, which the report echoes.
@@ -257,7 +265,7 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
     if kind not in _KINDS:
         raise ConfigError(f"unknown criterion kind {kind!r}")
     check_keys(f"bad {kind!r} criterion", crit, _COMMON_KEYS | _KINDS[kind])
-    run = {**default_plan(), "seed": problem.cfg.seed, **plan, **crit}
+    run = {**_BUDGET, "seed": problem.cfg.seed, **plan, **crit}
     try:
         budget = check_budget(problem, run["steps"], run["replicas"], run["schedule"], run["seed"])
     except ConfigError as exc:
@@ -360,13 +368,14 @@ def _evaluate_criterion(c: dict, problem, ensemble) -> VerificationEntry:
                                  f"mean distance to {ls.kind} limit set")
 
     if kind == "rate":
-        es = ensemble(c["budget"])
-        fit = rate_fit(es.times, es.Z, c["statistic"], c["window"], c["contrast"])
         target = c.get("target")
         if target is None:
-            if problem.spectral.theta is None:
-                raise NotApplicableError("theta undefined; give the criterion a 'target'")
+            if not (problem.walk_drift and problem.spectral.theta is not None):
+                raise NotApplicableError("the default target -theta is the graph-walk drift's "
+                                         "rate, where theta is defined; give a 'target'")
             target = -problem.spectral.theta
+        es = ensemble(c["budget"])
+        fit = rate_fit(es.times, es.Z, c["statistic"], c["window"], c["contrast"])
         return VerificationEntry(f"rate[{c['statistic']}]", target, fit.slope, tol,
                                  abs(fit.slope - target) <= tol,
                                  f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")

@@ -10,6 +10,11 @@ column stochastic and (b, K) is (0, T - I) for Polya, (1, -(T + I)) for
 Friedman. So a basis row u_j of the manifold ranges over the parameter box
 +-1/(2 max_i |u_ji|).
 
+The paper's theorems turn on one fact, Problem.walk_drift: K is the bare
+graph walk -(I + A D^-1). It is their one case of a Friedman limit other
+than 1/2 1, and the one model whose decay rates are the spectrum's of
+I + A D^-1.
+
 The stationary covariance of sqrt(t) (Z_t - 1/2 1) solves the Lyapunov
 equation (K + I/2)^T Sigma + Sigma (K + I/2) = -Gamma_eff, where Gamma_eff
 is the covariance of the martingale noise as it enters the recursion,
@@ -116,8 +121,14 @@ class LimitSet:
 @dataclass(frozen=True)
 class ClassificationReport:
     applicable_theorem: str
-    predicted_limit: Optional[LimitSet]
     assumptions_checked: tuple  # ((name, bool), ...)
+    drift: DriftModel
+
+    @cached_property
+    def predicted_limit(self) -> Optional[LimitSet]:
+        """limit_set(drift), or None under 'unknown'. Solved on first read: LAPACK
+        work ahead of a verify's ensembles would add to its peak memory."""
+        return None if self.applicable_theorem == "unknown" else limit_set(self.drift)
 
 
 @dataclass(frozen=True)
@@ -197,6 +208,12 @@ class Problem:
         return (eta * np.eye(self.g.n) + kappa * self.A) / omega[None, :].astype(float)
 
     @cached_property
+    def walk_drift(self) -> bool:
+        """Whether K is the bare graph walk -(I + A D^-1), bit for bit: Friedman
+        ftsr at p = 0 (P~ = A D^-1) and ftnr at p = 1 (T = I R = A D^-1)."""
+        return (self.cfg.code, self.cfg.p) in (("ftsr", 0.0), ("ftnr", 1.0))
+
+    @cached_property
     def spectral(self) -> SpectralData:
         return eigendecompose(self)
 
@@ -266,72 +283,43 @@ def limit_set(dm: DriftModel) -> LimitSet:
 
 
 def classify(problem: Problem) -> ClassificationReport:
-    """Match the configuration against the convergence theorems, in order.
+    """The paper's theorem for the configuration, with its predicted limit set.
 
-    Reports the first theorem whose hypotheses all hold, together with the
-    predicted limit set; reports 'unknown' (and no prediction) when none
-    applies.
+    A Friedman limit is the point 1/2 1 unless the drift is the graph walk
+    and the walk alternates, across a bipartite graph or a source component
+    that is no odd cycle; then it is the solution set of h(z) = 0 if T0 is
+    uniform (and, directed, the spectrum diagonalizable). Polya needs an
+    undirected graph, uniform T0, and p < 1 (self) or regularity (the other
+    modes). 'unknown', with no prediction, where no theorem applies.
     """
-    cfg, g, sd = problem.cfg, problem.g, problem.spectral
-    p = cfg.p
+    cfg, g = problem.cfg, problem.g
+    neigh, p = cfg.neighbourhood, cfg.p
     bip = g.bipartition is not None
     regular = g.regular_degree is not None
     uniform = cfg.uniform_t0
-    diag = sd.diagonalizable
-    checks = [
-        ("connected", True),  # parse_edge_list rejects a disconnected graph
-        ("bipartite", bip),
-        ("regular", regular),
-        ("uniform_t0", uniform),
-        ("diagonalizable", diag),
-    ]
+    diag = not g.directed or problem.spectral.diagonalizable  # eigh: always, undirected
+    checks = [("connected", True),  # parse_edge_list rejects a disconnected graph
+              ("bipartite", bip), ("regular", regular), ("uniform_t0", uniform),
+              ("diagonalizable", diag)]
     if g.directed:
         checks.append(("g1_odd_cycle", bool(g.g1_is_odd_cycle)))
-    checks = tuple(checks)
+    alternates = not g.g1_is_odd_cycle if g.directed else bip
 
-    def report(theorem, with_limit=True):
-        limit = limit_set(problem.drift) if with_limit else None
-        return ClassificationReport(theorem, limit, checks)
-
-    neigh = cfg.neighbourhood
-    if not g.directed and cfg.is_friedman:
-        if neigh == "self" and (p > 0.0 or not bip):
-            return report("friedman_unique")
-        if neigh == "neighbour" and (p < 1.0 or not bip):
-            return report("friedman_unique")
-        if neigh == "self_and_neighbour":
-            return report("friedman_unique")
-        # remaining: FTSR p=0 or FTNR p=1 on a bipartite graph
-        if uniform:
-            return report("friedman_bipartite_partial_sync")
-        return report("unknown", with_limit=False)
-
-    if not g.directed and not cfg.is_friedman:
-        if neigh == "self" and p < 1.0 and uniform:
-            return report("polya_regular_sync")
-        elif neigh == "neighbour" and regular and uniform:
-            if p > 0.0 or not bip:
-                return report("polya_regular_sync")
-            return report("polya_bipartite_two_param")
-        elif neigh == "self_and_neighbour" and regular and uniform:
-            return report("polya_regular_sync")
-        return report("unknown", with_limit=False)
-
-    # directed graphs: Friedman only
-    if cfg.is_friedman:
-        odd = bool(g.g1_is_odd_cycle)
-        if neigh == "self" and (p > 0.0 or odd):
-            return report("directed_friedman_unique")
-        if neigh == "neighbour" and (0.0 < p < 1.0 or (p == 1.0 and odd)):
-            return report("directed_friedman_unique")
-        if neigh == "self_and_neighbour":
-            return report("directed_friedman_unique")
-        residual_case = (neigh == "self" and p == 0.0) or (neigh == "neighbour" and p == 1.0)
-        if residual_case and uniform and diag:
-            # non-cycle leading component: the limit manifold is still the
-            # solution set of h(z)=0, reached along the zero eigendirection
-            return report("directed_general")
-    return report("unknown", with_limit=False)
+    theorem = "unknown"
+    if problem.walk_drift and alternates:
+        if uniform and diag:
+            theorem = "directed_general" if g.directed else "friedman_bipartite_partial_sync"
+    elif cfg.is_friedman and not g.directed:
+        theorem = "friedman_unique"
+    elif cfg.is_friedman and (neigh != "neighbour" or p > 0.0):  # directed ftnr p = 0: none
+        theorem = "directed_friedman_unique"
+    elif not cfg.is_friedman and not g.directed and uniform and (
+            p < 1.0 if neigh == "self" else regular):
+        if neigh == "neighbour" and p == 0.0 and bip:
+            theorem = "polya_bipartite_two_param"
+        else:
+            theorem = "polya_regular_sync"
+    return ClassificationReport(theorem, tuple(checks), problem.drift)
 
 
 def noise_covariance(problem: Problem) -> np.ndarray:
@@ -379,9 +367,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     sqrt(t/log t) regime with SigmaTilde, and rho < 1/2 no stated scaling.
     """
     cfg, g = problem.cfg, problem.g
-    if not cfg.is_friedman:
-        raise NotApplicableError("fluctuation theory covers Friedman models only")
-    cls = problem.classification
+    cls = problem.classification  # its two labels below are Friedman's alone
     if cls.applicable_theorem not in ("friedman_unique", "directed_friedman_unique"):
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
@@ -429,7 +415,8 @@ def fluctuation(problem: Problem) -> FluctuationReport:
 
 
 def decay_exponents(sd: SpectralData) -> DecayPrediction:
-    """Polynomial decay rates of partition contrasts (self-reinforcement, p=0).
+    """Polynomial decay rates of partition contrasts, from sd, the spectrum of
+    I + A D^-1: the model's own rates only where Problem.walk_drift holds.
 
     The mean of a contrast annihilating the zero mode decays like
     t^(-theta); its variance decays like t^(-eps) with

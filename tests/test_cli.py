@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from urnnet import experiments
 from urnnet.cli import _CHUNK, _TOKEN_WIDTH, _dump, _write_trajectories, main, sig12
 from urnnet.dynamics import MODEL_CODES, EnsembleTrajectories, simulate_ensemble
 
@@ -190,6 +191,76 @@ def test_verify_default_plan_with_budget_override(c5_file, tmp_path, capsys):
     assert any(k.startswith("convergence") for k in kinds)
     assert any(k.startswith("manifold") for k in kinds)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edges,model,p,criteria", [
+    (C5_EDGES, "ptsr", "0.5", ["manifold", "sync-global"]),
+    (C5_EDGES, "ptnr", "0.5", ["manifold", "sync-global"]),
+    (C5_EDGES, "ptsnr", "0.5", ["manifold", "sync-global"]),
+    (C4_EDGES, "ftsr", "0", ["manifold", "sync-partition"]),
+], ids=["c5-ptsr", "c5-ptnr", "c5-ptsnr", "c4-ftsr-p0"])
+def test_default_plan_checks_a_limit_family_along_its_manifold(tmp_path, capsys, edges, model,
+                                                                p, criteria):
+    # these limits are a random point of a family, not 1/2 1: the default
+    # plan checks the distance to the family and the spread, not convergence
+    graph = tmp_path / "g.edges"
+    graph.write_text(edges + "\n")
+    rc, rep = run_json(["verify", "--graph", str(graph), "--model", model, "--p", p,
+                        "--steps", "10000"], capsys)
+    assert rc == 0, rep
+    assert [c["criterion"] for c in rep["criteria"]] == [f"{k}@t=10000" for k in criteria]
+
+
+@pytest.mark.parametrize("model,p,plan,note", [
+    # no theorem applies, so the default plan's manifold has no limit to measure
+    ("ptsr", "1", None, "NotApplicableError: no predicted limit (unknown)"),
+    # rho = 0.4 < 1/2: no sqrt(t) limit exists
+    ("ftnr", "0.8", {"steps": 100, "replicas": 4, "criteria": [{"kind": "fluctuation"}]},
+     "NotApplicableError: no sqrt(t) covariance (regime not_applicable)"),
+], ids=["unknown-default-plan", "fluctuation-subcritical"])
+def test_verify_reports_inapplicable_theory_as_a_typed_failure(c4_file, tmp_path, capsys,
+                                                               model, p, plan, note):
+    args = ["verify", "--graph", c4_file, "--model", model, "--p", p, "--steps", "100"]
+    if plan is not None:
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        args += ["--plan", str(tmp_path / "plan.json")]
+    rc, rep = run_json(args, capsys)
+    assert rc == 1
+    assert [(c["pass"], c["note"]) for c in rep["criteria"]] == [(False, note)]
+
+
+@pytest.mark.parametrize("model", ["ptsr", "ftsnr"])
+def test_analyze_decay_is_unavailable_off_the_graph_walk(c4_file, capsys, model):
+    # the exponents of I + A D^-1 are not these models' rates: their exact
+    # mean-gap slopes on C4 at p = 0.5 are -0.487 and -1.156, not -1
+    rc, rep = run_json(["analyze", "--graph", c4_file, "--model", model, "--p", "0.5"], capsys)
+    assert rc == 0
+    assert list(rep["decay"]) == ["unavailable"]
+
+
+_RATE_PLAN = {"steps": 20000, "replicas": 256, "criteria": [
+    {"kind": "rate", "contrast": [1, 0, -1, 0], "window": [500, 20000], "tolerance": 0.1}]}
+
+
+def test_verify_rate_default_target_is_the_graph_walk_rate(c4_file, tmp_path, monkeypatch,
+                                                          capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_RATE_PLAN))
+    args = ["verify", "--graph", c4_file, "--plan", str(plan), "--t0", "100",
+            "--w0", "25,50,75,50"]
+    rc, rep = run_json(args + ["--model", "ftsr", "--p", "0"], capsys)
+    (entry,) = rep["criteria"]
+    assert entry["theoretical"] == -1.0  # -theta of I + A D^-1 on C4
+    assert rc == 0, entry
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran for a criterion with no target")
+    monkeypatch.setattr(experiments, "simulate_ensemble", no_run)
+    rc, rep = run_json(args + ["--model", "ptsr", "--p", "0.5"], capsys)
+    (entry,) = rep["criteria"]
+    assert rc == 1
+    assert entry["theoretical"] is None
+    assert entry["note"].startswith("NotApplicableError: the default target -theta")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -310,6 +310,10 @@ def test_verify_runs_one_ensemble_per_checked_budget(c5, monkeypatch):
 def test_readme_plan_and_default_plan_pass_the_plan_checks(c4):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     readme_plan = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    for plan in (readme_plan, experiments.default_plan()):
-        for crit in plan["criteria"]:
-            experiments._parse_criterion(crit, plan, problem(c4))
+    # one model per default criteria set: a unique point, partial sync, Polya
+    # sync, the two-parameter family and 'unknown'
+    for code, p in [("ftsr", 0.5), ("ftsr", 0.0), ("ptsr", 0.5), ("ptnr", 0.0), ("ptsr", 1.0)]:
+        P = problem(c4, code, p)
+        for plan in (readme_plan, experiments.default_plan(P)):
+            for crit in plan["criteria"]:
+                experiments._parse_criterion(crit, plan, P)

@@ -54,7 +54,9 @@ def count_calls(monkeypatch) -> collections.Counter:
 @pytest.mark.parametrize("command,edges,directed,uncalled", [
     ("analyze", grid_edges(5, 5), False, ()),
     ("analyze", FIG2_EDGES, True, ()),
-    ("verify", C5_EDGES, False, ("theory.fluctuation",)),  # the default plan has none
+    # the default plan has no fluctuation criterion, and an undirected
+    # classification reads no spectrum
+    ("verify", C5_EDGES, False, ("spectral.eigendecompose", "theory.fluctuation")),
     # the limit set is limit_set(drift) whatever the classification
     ("export-limit", grid_edges(5, 5), False,
      ("spectral.eigendecompose", "theory.classify", "theory.fluctuation")),

@@ -263,6 +263,34 @@ def test_multi_source_classification_is_label_free():
         assert r.predicted_limit.kind == "one_parameter"
 
 
+# the dimension of the limit set each of the paper's labels predicts
+_LABEL_KIND = {"friedman_unique": "unique_point", "directed_friedman_unique": "unique_point",
+               "friedman_bipartite_partial_sync": "one_parameter",
+               "polya_regular_sync": "one_parameter",
+               "polya_bipartite_two_param": "two_parameter"}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_each_paper_label_predicts_its_limit_dimension(seed):
+    rng = np.random.default_rng(seed)
+    graphs = (random_connected_graph(rng), random_directed_graph(rng),
+              digraph(random_multi_component_arcs(rng)))
+    for g in graphs:
+        for code in ALL_CODES:
+            for p in (0.0, 0.3, 0.5, 1.0):
+                for t0 in (4, [4 + i % 3 for i in range(g.n)]):
+                    P = problem(g, code, p, t0=t0, w0=2)
+                    r = P.classification
+                    case = (g.edges, g.directed, code, p, t0, r.applicable_theorem)
+                    if r.applicable_theorem in _LABEL_KIND:
+                        assert r.predicted_limit.kind == _LABEL_KIND[r.applicable_theorem], case
+                    else:
+                        assert r.applicable_theorem in ("directed_general", "unknown"), case
+                    if P.walk_drift:  # K is the bare graph walk, bit for bit
+                        assert np.array_equal(-P.drift.K, np.eye(g.n) + P.ADi), case
+
+
 # --- fluctuation covariances ----------------------------------------------
 
 def moment_recursion_cov(P, steps):
