@@ -291,6 +291,11 @@ def parse_schedule(schedule, steps: int) -> np.ndarray:
     if geometric:
         if r <= 1.0:
             raise ConfigError("geometric schedule ratio must exceed 1")
+        if 0 <= (r - 1.0) * steps <= 0.5:
+            # the loop below advances t <= steps by at most (r - 1) * steps
+            # <= 1/2 a product, so it yields every time, after ln(steps)/ln(r)
+            # products: without bound as r -> 1
+            return np.arange(steps + 1)
         ts, t = set(), 1.0
         while t <= steps:
             ts.add(int(t))

@@ -230,7 +230,7 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
         raise ConfigError("plan has no criteria")
     if not isinstance(criteria, list):
         raise ConfigError(f"plan criteria must be a list, got {criteria!r}")
-    parsed = [_parse_criterion(crit, plan, problem) for crit in criteria]
+    parsed = [_criterion(crit, plan, problem) for crit in criteria]
     cache = {}
 
     def ensemble(budget):
@@ -241,24 +241,24 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
         return cache[budget]
 
     entries = []
-    for c in parsed:
+    for kind, tol, evaluate in parsed:
         try:
-            entries.append(_evaluate_criterion(c, problem, ensemble))
+            entries.append(evaluate(ensemble))
         except UrnnetError as exc:
-            entries.append(VerificationEntry(c["kind"], None, None, c["tolerance"], False,
+            entries.append(VerificationEntry(kind, None, None, tol, False,
                                              f"{type(exc).__name__}: {exc}"))
     return VerificationReport(entries=tuple(entries))
 
 
-def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
-    """crit read and checked, its defaults applied: a dict of all that
-    _evaluate_criterion reads. That is its "kind", "budget" (its own keys,
-    else the plan's, else _BUDGET's and the problem's seed, through
-    check_budget), "tolerance", "at" (default the last step) and its kind's
-    own keys converted; "written" is the convergence target or the sync
-    cross_sum_tolerance as the plan wrote it, which the report echoes.
-    ConfigError unless crit is an object with a known string "kind", only
-    the common keys and its kind's own, and values that read."""
+def _criterion(crit, plan: dict, problem: Problem) -> tuple:
+    """crit read and checked, its defaults applied: (kind, tolerance,
+    evaluate). evaluate(ensemble) runs the check on ensemble(budget), the
+    run of the criterion's own keys, else the plan's, else _BUDGET's and the
+    problem's seed, through check_budget; "at" defaults to the last step.
+    The theory a check compares against is read inside evaluate, after the
+    plan is checked. ConfigError unless crit is an object with a known
+    string "kind", only the common keys and its kind's own, and values that
+    read."""
     if not isinstance(crit, dict) or not isinstance(crit.get("kind"), str):
         raise ConfigError(f"criterion must be an object with a string 'kind', got {crit!r}")
     kind = crit["kind"]
@@ -272,48 +272,108 @@ def _parse_criterion(crit, plan: dict, problem: Problem) -> dict:
         raise ConfigError(f"bad plan budget: {exc}") from None
     n = problem.g.n
     try:
-        c = {"kind": kind, "budget": budget,
-             "tolerance": read_number(crit.get("tolerance", 0.05), "'tolerance'",
-                                      integer=False, least=0),
-             "at": read_number(crit.get("at", budget[0]), "'at'")}
+        tol = read_number(crit.get("tolerance", 0.05), "'tolerance'", integer=False, least=0)
+        at = read_number(crit.get("at", budget[0]), "'at'")
+
+        def snapshot(ensemble):
+            """The (R, n) snapshot at "at"; NotACheckpointError off the schedule."""
+            es = ensemble(budget)
+            return es.Z[es.index_of(at)]
+
         if kind == "convergence":
-            c["written"] = crit.get("target", 0.5)
-            c["target"] = _read_numbers(c["written"], "'target'")
-            if c["target"].shape not in ((), (n,)):
+            written = crit.get("target", 0.5)  # the report echoes it as written
+            target = _read_numbers(written, "'target'")
+            if target.shape not in ((), (n,)):
                 raise ConfigError(f"'target' must be a number or {n} numbers")
-        if kind == "sync":
-            default = "partition" if problem.g.bipartition else "global"
-            c["scope"] = crit.get("scope", default)
-            if c["scope"] not in ("global", "partition"):
-                raise ConfigError(f"'scope' must be 'global' or 'partition', got {c['scope']!r}")
-            if crit.get("cross_sum_tolerance") is not None:
-                c["written"] = crit["cross_sum_tolerance"]
-                c["cross_sum"] = (
-                    read_number(c["written"], "'cross_sum_tolerance'", integer=False),
-                    read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
-                                integer=False))
-        if kind == "rate":
-            c["contrast"] = _read_numbers(crit.get("contrast"), "'contrast'")
-            if c["contrast"].ndim not in (1, 2) or len(c["contrast"]) != n:
+
+            def evaluate(ensemble):
+                sup = float(np.abs(snapshot(ensemble) - target).max(axis=1).mean())
+                return VerificationEntry(f"convergence@t={at}", written, sup, tol, sup <= tol,
+                                         "mean sup-norm distance to target")
+        elif kind == "sync":
+            scope = crit.get("scope", "partition" if problem.g.bipartition else "global")
+            if scope not in ("global", "partition"):
+                raise ConfigError(f"'scope' must be 'global' or 'partition', got {scope!r}")
+            cross = crit.get("cross_sum_tolerance")  # the note echoes it as written
+            if cross is not None:
+                cross_tol = read_number(cross, "'cross_sum_tolerance'", integer=False, least=0)
+                need = read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
+                                   integer=False)
+                if not 0 <= need <= 1:
+                    raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
+
+            def evaluate(ensemble):
+                sm = sync_metrics(problem, snapshot(ensemble),
+                                  require_partition=(scope == "partition"))
+                if scope == "global":
+                    emp = float(sm.global_spread.mean())
+                    return VerificationEntry(f"sync-global@t={at}", 0.0, emp, tol, emp <= tol,
+                                             "mean global spread")
+                emp = float(max(sm.within_v.mean(), sm.within_w.mean()))
+                ok = emp <= tol
+                note = "mean within-partition spread"
+                if cross is not None:
+                    frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
+                    ok = ok and frac >= need
+                    note += f"; cross-sum within {cross} for {frac:.0%} of replicas"
+                return VerificationEntry(f"sync-partition@t={at}", 0.0, emp, tol, ok, note)
+        elif kind == "manifold":
+            def evaluate(ensemble):
+                ls = problem.classification.predicted_limit
+                if ls is None:
+                    raise NotApplicableError(
+                        f"no predicted limit ({problem.classification.applicable_theorem})")
+                emp = float(manifold_distance(snapshot(ensemble), ls).mean())
+                return VerificationEntry(f"manifold@t={at}", 0.0, emp, tol, emp <= tol,
+                                         f"mean distance to {ls.kind} limit set")
+        elif kind == "rate":
+            contrast = _read_numbers(crit.get("contrast"), "'contrast'")
+            if contrast.ndim not in (1, 2) or len(contrast) != n:
                 raise ConfigError(f"'contrast' must be a vector or a matrix with {n} rows")
             w = crit.get("window", (100, budget[0]))
             try:
                 lo, hi = w if isinstance(w, (list, tuple)) else None
-                c["window"] = (read_number(lo, "'window'"), read_number(hi, "'window'"))
+                window = (read_number(lo, "'window'"), read_number(hi, "'window'"))
             except (ConfigError, TypeError, ValueError):
                 raise ConfigError(f"'window' must be two integers, got {w!r}") from None
-            c["statistic"] = crit.get("statistic", "mean-gap")
-            if c["statistic"] not in ("mean-gap", "variance"):
-                raise ConfigError(f"unknown statistic {c['statistic']!r}")
-            if crit.get("target") is not None:
-                c["target"] = read_number(crit["target"], "'target'", integer=False)
-        if kind == "fluctuation" and "sigma" in crit:
-            c["sigma"] = _read_numbers(crit["sigma"], "'sigma'")
-            if c["sigma"].shape != (n, n):
+            statistic = crit.get("statistic", "mean-gap")
+            if statistic not in ("mean-gap", "variance"):
+                raise ConfigError(f"unknown statistic {statistic!r}")
+            target = crit.get("target")
+            if target is not None:
+                target = read_number(target, "'target'", integer=False)
+
+            def evaluate(ensemble):
+                if target is None and not (problem.walk_drift
+                                           and problem.spectral.theta is not None):
+                    raise NotApplicableError("the default target -theta is the graph-walk "
+                                             "drift's rate, where theta is defined; give a "
+                                             "'target'")
+                want = -problem.spectral.theta if target is None else target
+                es = ensemble(budget)
+                fit = rate_fit(es.times, es.Z, statistic, window, contrast)
+                return VerificationEntry(f"rate[{statistic}]", want, fit.slope, tol,
+                                         abs(fit.slope - want) <= tol,
+                                         f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
+        else:  # fluctuation
+            sigma = _read_numbers(crit["sigma"], "'sigma'") if "sigma" in crit else None
+            if sigma is not None and sigma.shape != (n, n):
                 raise ConfigError(f"'sigma' must be an {n} x {n} matrix")
+
+            def evaluate(ensemble):
+                rep = problem.fluctuation
+                if rep.regime != "sqrt_t":
+                    raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
+                if budget[1] < 2:  # reported ahead of an off-schedule "at"
+                    raise TooFewReplicasError("need at least 2 replicas for a covariance")
+                emp = fluctuation_estimate(snapshot(ensemble), at)
+                ref = rep.Sigma if sigma is None else sigma
+                err = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
+                return VerificationEntry(f"fluctuation@t={at}", ref.tolist(), emp.tolist(), tol,
+                                         err <= tol, f"relative Frobenius error {err:.3f}")
     except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind!r} criterion: {exc}") from None
-    return c
+    return kind, tol, evaluate
 
 
 def _read_numbers(value, key: str) -> np.ndarray:
@@ -323,74 +383,3 @@ def _read_numbers(value, key: str) -> np.ndarray:
     entries = np.asarray(value, dtype=object)
     return np.array([read_number(x, key, integer=False) for x in entries.ravel()],
                     dtype=float).reshape(entries.shape)
-
-
-def _snapshot(c: dict, ensemble) -> tuple:
-    """(t, Z_t): the criterion's checkpoint and its ensemble's (R, n)
-    snapshot there. NotACheckpointError when t is off the schedule."""
-    es = ensemble(c["budget"])
-    return c["at"], es.Z[es.index_of(c["at"])]
-
-
-def _evaluate_criterion(c: dict, problem, ensemble) -> VerificationEntry:
-    kind, tol = c["kind"], c["tolerance"]
-    if kind == "convergence":
-        t, Z = _snapshot(c, ensemble)
-        sup = float(np.abs(Z - c["target"]).max(axis=1).mean())
-        return VerificationEntry(f"convergence@t={t}", c["written"], sup, tol, sup <= tol,
-                                 "mean sup-norm distance to target")
-
-    if kind == "sync":
-        t, Z = _snapshot(c, ensemble)
-        sm = sync_metrics(problem, Z, require_partition=(c["scope"] == "partition"))
-        if c["scope"] == "global":
-            emp = float(sm.global_spread.mean())
-            return VerificationEntry(f"sync-global@t={t}", 0.0, emp, tol, emp <= tol,
-                                     "mean global spread")
-        emp = float(max(sm.within_v.mean(), sm.within_w.mean()))
-        ok = emp <= tol
-        note = "mean within-partition spread"
-        if "cross_sum" in c:
-            cross_tol, need = c["cross_sum"]
-            frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
-            ok = ok and frac >= need
-            note += f"; cross-sum within {c['written']} for {frac:.0%} of replicas"
-        return VerificationEntry(f"sync-partition@t={t}", 0.0, emp, tol, ok, note)
-
-    if kind == "manifold":
-        ls = problem.classification.predicted_limit
-        if ls is None:
-            raise NotApplicableError(
-                f"no predicted limit ({problem.classification.applicable_theorem})")
-        t, Z = _snapshot(c, ensemble)
-        emp = float(manifold_distance(Z, ls).mean())
-        return VerificationEntry(f"manifold@t={t}", 0.0, emp, tol, emp <= tol,
-                                 f"mean distance to {ls.kind} limit set")
-
-    if kind == "rate":
-        target = c.get("target")
-        if target is None:
-            if not (problem.walk_drift and problem.spectral.theta is not None):
-                raise NotApplicableError("the default target -theta is the graph-walk drift's "
-                                         "rate, where theta is defined; give a 'target'")
-            target = -problem.spectral.theta
-        es = ensemble(c["budget"])
-        fit = rate_fit(es.times, es.Z, c["statistic"], c["window"], c["contrast"])
-        return VerificationEntry(f"rate[{c['statistic']}]", target, fit.slope, tol,
-                                 abs(fit.slope - target) <= tol,
-                                 f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
-
-    if kind == "fluctuation":
-        rep = problem.fluctuation
-        if rep.regime != "sqrt_t":
-            raise NotApplicableError(f"no sqrt(t) covariance (regime {rep.regime})")
-        if c["budget"][1] < 2:  # reported ahead of an off-schedule "at"
-            raise TooFewReplicasError("need at least 2 replicas for a covariance")
-        t, Z = _snapshot(c, ensemble)
-        emp = fluctuation_estimate(Z, t)
-        ref = c.get("sigma", rep.Sigma)
-        err = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
-        return VerificationEntry(f"fluctuation@t={t}", ref.tolist(), emp.tolist(), tol,
-                                 err <= tol, f"relative Frobenius error {err:.3f}")
-
-    raise AssertionError(kind)

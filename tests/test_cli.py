@@ -253,6 +253,16 @@ def test_verify_rate_default_target_is_the_graph_walk_rate(c4_file, tmp_path, mo
     assert entry["theoretical"] == -1.0  # -theta of I + A D^-1 on C4
     assert rc == 0, entry
 
+    # off the graph walk a written target is tested as given
+    plan.write_text(json.dumps({**_RATE_PLAN, "criteria": [
+        {**_RATE_PLAN["criteria"][0], "target": -0.5}]}))
+    rc, rep = run_json(args + ["--model", "ptsr", "--p", "0.5"], capsys)
+    (entry,) = rep["criteria"]
+    assert entry["theoretical"] == -0.5
+    assert rc == 0, entry
+
+    plan.write_text(json.dumps(_RATE_PLAN))
+
     def no_run(*args, **kwargs):
         raise AssertionError("the ensemble ran for a criterion with no target")
     monkeypatch.setattr(experiments, "simulate_ensemble", no_run)
@@ -328,8 +338,15 @@ def test_simulate_malformed_option_exit_2(c4_file, flag, value, capsys):
     ("--p", "0_5", "p must be a finite number, got '0_5'"),
     ("--t0", "4,1_0,4,4", "t0 must be an integer, got '1_0'"),
     ("--schedule", "geometric(1_5)", "bad schedule 'geometric(1_5)'"),
+    # numbers that read but lie outside the model's range
+    ("--p", "1.5", "p=1.5 outside [0, 1]"),
+    ("--s", "0", "s and C must be positive integers"),
+    ("--c", "0", "s and C must be positive integers"),
+    ("--t0", "4,4", "t0: expected 1 or 4 values"),
+    ("--schedule", "geometric(1)", "ratio must exceed 1"),
 ], ids=["underscore-steps", "arabic-indic-replicas", "arabic-indic-p", "underscore-p",
-        "underscore-t0-entry", "underscore-ratio"])
+        "underscore-t0-entry", "underscore-ratio", "p-above-1", "zero-s", "zero-c",
+        "short-t0", "unit-ratio"])
 def test_simulate_number_spelling_exit_2(c4_file, flag, value, needle, capsys):
     rc = main(["simulate", "--graph", c4_file, "--model", "ftsr", "--steps", "10",
                flag, value])
@@ -452,6 +469,18 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
        f"bad plan budget: bad schedule '{spelling}'")
       for spelling in ("geometric(1.2", "geometric1.5", "geometric)2(", "geometric::2",
                        "geometric", "geometric()")),
+    ('{"steps": 10, "criteria": []}', "plan has no criteria"),
+    ('{"steps": 10, "criteria": {"kind": "convergence"}}', "plan criteria must be a list"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": "x"}]}',
+     "'cross_sum_tolerance' must be a finite number"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": 0.1,'
+     ' "cross_sum_fraction": null}]}', "'cross_sum_fraction' must be a finite number"),
+    ('{"steps": 10, "replicas": 2, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "target": "fast"}]}', "'target' must be a finite number, got 'fast'"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": -1}]}',
+     "'cross_sum_tolerance' must be >= 0, got -1.0"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": 0.5,'
+     ' "cross_sum_fraction": 95}]}', "'cross_sum_fraction' must lie in [0, 1], got 95.0"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -464,7 +493,9 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "boolean-target-entry", "ragged-target", "null-contrast-entry", "infinite-sigma-entry",
         "non-utf8", "underscore-steps", "arabic-indic-tolerance", "unclosed-geometric",
         "geometric-without-parentheses", "geometric-reversed-parentheses", "geometric-colons",
-        "bare-geometric", "empty-geometric"])
+        "bare-geometric", "empty-geometric", "empty-criteria", "criteria-object",
+        "non-numeric-cross-sum-tolerance", "null-cross-sum-fraction", "non-numeric-rate-target",
+        "negative-cross-sum-tolerance", "cross-sum-fraction-above-1"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

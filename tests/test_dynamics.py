@@ -327,6 +327,32 @@ def test_schedule_parsing():
     assert parse_schedule([3, 1, 3], 10).tolist() == [0, 1, 3, 10]
     with pytest.raises(ConfigError):
         parse_schedule([11], 10)
+    # the loop would take about 4e16 products to pass 10^4 here
+    assert np.array_equal(parse_schedule("geometric(1.0000000000000002)", 10_000),
+                          np.arange(10_001))
+
+
+def _geometric_loop(r, steps):
+    """The times t = 1, r, r^2, ... as int(t), with 0 and steps: the
+    reference that parse_schedule's geometric(r) must equal."""
+    ts, t = {0, steps}, 1.0
+    while t <= steps:
+        ts.add(int(t))
+        t *= r
+    return sorted(ts)
+
+
+def test_geometric_schedule_matches_the_loop_near_one():
+    # r = 1 + k / steps on both sides of k = 1/2, below which every time
+    # is a checkpoint; the loop takes about steps * ln(steps) / k products
+    for steps in [*range(0, 600, 5), 599]:
+        for k in [0.05, 0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15), 0.51, 1.0, 3.0]:
+            r = 1 + k / max(steps, 1)
+            got = parse_schedule(f"geometric({r!r})", steps)
+            assert got.tolist() == _geometric_loop(r, steps), (steps, r)
+            assert got.dtype == np.int64
+        for r in [1.2, 2.0, 1e300]:
+            assert parse_schedule(f"geometric({r!r})", steps).tolist() == _geometric_loop(r, steps)
 
 
 def test_step_size_diagnostic(c4):

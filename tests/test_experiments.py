@@ -316,4 +316,4 @@ def test_readme_plan_and_default_plan_pass_the_plan_checks(c4):
         P = problem(c4, code, p)
         for plan in (readme_plan, experiments.default_plan(P)):
             for crit in plan["criteria"]:
-                experiments._parse_criterion(crit, plan, P)
+                experiments._criterion(crit, plan, P)
