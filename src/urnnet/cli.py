@@ -303,7 +303,7 @@ def cmd_analyze(args) -> int:
             "applicable_theorem": cls.applicable_theorem,
             "assumptions_checked": [[name, bool(ok)] for name, ok in cls.assumptions_checked],
         },
-        "limit_set": _limit_set_json(cls.predicted_limit),
+        "limit_set": _limit_set_json(problem.predicted_limit),
     }
     if cfg.is_friedman:
         try:

@@ -18,9 +18,11 @@ product, exact for any s; without replacement, drawn balls are removed
 between s sequential comparisons. Reinforcement sums chi over each urn's
 reinforcement list (itself and/or its in-neighbours) with one gather and
 one np.add.reduceat. All randomness is consumed from a single
-numpy Generator in a fixed (step, urn-block) order, so results are
-bit-reproducible for a given (seed, config, graph, replicas) regardless of
-the snapshot schedule.
+numpy Generator in a fixed order: per block of b steps, b*R*n coins, then
+b*R*n picks, then each step's R*n*s sample uniforms in step order. The loop
+holds one block's coins and picks, in two buffers refilled in place, and
+one step's sample uniforms. Results are bit-reproducible for a given (seed,
+config, graph, replicas) regardless of the snapshot schedule.
 """
 from __future__ import annotations
 
@@ -56,13 +58,14 @@ MODEL_CODES = {
     "ftsnr": ("friedman", "self_and_neighbour"),
 }
 
-# Uniform blocks are pre-generated for this many steps at a time (capped so a
-# block stays small); the cap depends only on (replicas, n, s), never on the
-# schedule, which keeps the stream layout reproducible.
+# A block is as many steps, at most 128, as fit this many uniforms at (2 + s)
+# per (replica, urn). The formula fixes where block boundaries fall, and so
+# the stream layout, though the loop holds only a block's coins and picks; it
+# depends only on (replicas, n, s), never on the schedule.
 _BLOCK_BUDGET = 4_000_000
 # Sample sources are state-independent and are computed from a block's
 # uniforms for about this many (replica, urn) pairs at a time, which keeps
-# the index array small next to the block.
+# the index array small next to the block's coins and picks.
 _SOURCE_CHUNK = 8192
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -352,16 +355,18 @@ def simulate_ensemble(problem: Problem, steps: int,
 
     block = max(1, min(128, _BLOCK_BUDGET // max(1, replicas * n * (2 + cfg.s))))
     chunk = max(1, _SOURCE_CHUNK // (replicas * n))
+    coins = np.empty((min(block, steps), replicas, n))
+    picks = np.empty_like(coins)
+    draws = np.empty((replicas, n, cfg.s))
     t = 0
     while t < steps:
         b = min(block, steps - t)
-        coin = rng.random((b, replicas, n))
-        pick = rng.random((b, replicas, n))
-        draws = rng.random((b, replicas, n, cfg.s))
+        coin, pick = rng.random(out=coins[:b]), rng.random(out=picks[:b])
         for j in range(b):
             if j % chunk == 0:
                 src = kern.sources(coin[j:j + chunk], pick[j:j + chunk])
-            kern.reinforce(W, kern.chi(kern.draw(W, T, src[j % chunk], draws[j])))
+            rng.random(out=draws)
+            kern.reinforce(W, kern.chi(kern.draw(W, T, src[j % chunk], draws)))
             T = T + kern.dT
             t += 1
             if t in snap_at:

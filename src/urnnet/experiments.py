@@ -319,7 +319,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 return VerificationEntry(f"sync-partition@t={at}", 0.0, emp, tol, ok, note)
         elif kind == "manifold":
             def evaluate(ensemble):
-                ls = problem.classification.predicted_limit
+                ls = problem.predicted_limit
                 if ls is None:
                     raise NotApplicableError(
                         f"no predicted limit ({problem.classification.applicable_theorem})")

@@ -1,7 +1,8 @@
 """Closed-form predictions: drift fields, limit sets, regimes, covariances.
 
 Every prediction is derived from one Problem(graph, config), which caches
-the adjacency, spectrum, drift and classification so each is computed once.
+the adjacency, spectrum, drift, classification and predicted limit so each
+is computed once.
 Everything uses the row-vector convention: the mean field is
 h(z) = b + z K, states are rows, and K is the Jacobian. Zeros of h are the
 candidate limits; the affine solution set intersected with [0,1]^N is the
@@ -122,13 +123,6 @@ class LimitSet:
 class ClassificationReport:
     applicable_theorem: str
     assumptions_checked: tuple  # ((name, bool), ...)
-    drift: DriftModel
-
-    @cached_property
-    def predicted_limit(self) -> Optional[LimitSet]:
-        """limit_set(drift), or None under 'unknown'. Solved on first read: LAPACK
-        work ahead of a verify's ensembles would add to its peak memory."""
-        return None if self.applicable_theorem == "unknown" else limit_set(self.drift)
 
 
 @dataclass(frozen=True)
@@ -226,6 +220,15 @@ class Problem:
         return classify(self)
 
     @cached_property
+    def predicted_limit(self) -> Optional[LimitSet]:
+        """limit_set(drift), or None under 'unknown'. Neither the drift nor its
+        limit is built before this first read: BLAS and LAPACK work ahead of a
+        verify's ensembles would add to its peak memory."""
+        if self.classification.applicable_theorem == "unknown":
+            return None
+        return limit_set(self.drift)
+
+    @cached_property
     def fluctuation(self) -> FluctuationReport:
         return fluctuation(self)
 
@@ -283,7 +286,8 @@ def limit_set(dm: DriftModel) -> LimitSet:
 
 
 def classify(problem: Problem) -> ClassificationReport:
-    """The paper's theorem for the configuration, with its predicted limit set.
+    """The paper's theorem for the configuration (Problem.predicted_limit
+    solves the limit set it predicts); it builds no drift.
 
     A Friedman limit is the point 1/2 1 unless the drift is the graph walk
     and the walk alternates, across a bipartite graph or a source component
@@ -319,7 +323,7 @@ def classify(problem: Problem) -> ClassificationReport:
             theorem = "polya_bipartite_two_param"
         else:
             theorem = "polya_regular_sync"
-    return ClassificationReport(theorem, tuple(checks), problem.drift)
+    return ClassificationReport(theorem, tuple(checks))
 
 
 def noise_covariance(problem: Problem) -> np.ndarray:

@@ -220,8 +220,7 @@ def test_criterion_7_directed_manifold_fig2():
     report("C7a FTSR fig-2 digraph p=0 limit manifold", ok,
            "; ".join(f"{k} = {v:.4f}" for k, v in means.items()) + " (tol 0.1 each)")
     # cross-check: replica states lie near the one-parameter family itself
-    cls = problem(g, "ftsr", 0.0).classification
-    dist = manifold_distance(es.Z[-1], cls.predicted_limit).mean()
+    dist = manifold_distance(es.Z[-1], problem(g, "ftsr", 0.0).predicted_limit).mean()
     assert dist <= 0.05, f"mean family residual {dist:.4f}"
 
 

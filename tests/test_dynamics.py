@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import (
+    _BLOCK_BUDGET,
     MODEL_CODES,
     ModelConfig,
     StepKernel,
@@ -393,6 +396,24 @@ def test_simulate_matches_reference_kernel(seed, directed, code, sampling, C, s,
     assert got.W.tobytes() == reference_simulate(P, 150, "all", R, seed).tobytes()
     # the totals are built in closed form, T_t = T0 + C s omega t
     assert np.array_equal(got.T, t0 + C * s * np.arange(151)[:, None] * P.params.omega)
+
+
+@pytest.mark.parametrize("steps", [10, 300])
+def test_simulate_holds_one_block_of_coins_and_picks(c4, steps):
+    # the loop keeps the coin and pick uniforms of one block, sized for the
+    # run's steps, and each step's sample uniforms alone; the margin covers
+    # the snapshots and a step's temporaries
+    R, s = 2000, 2
+    P = problem(c4, "ftnr", p=0.8, s=s)
+    block = max(1, min(128, _BLOCK_BUDGET // (R * c4.n * (2 + s))))
+    bound = 2 * min(block, steps) * R * c4.n * 8 + 4 * 2 ** 20
+    tracemalloc.start()
+    try:
+        simulate_ensemble(P, steps, replicas=R, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2 ** 20, bound / 2 ** 20)
 
 
 def test_ensemble_replicas_independent_at_t0(c4):

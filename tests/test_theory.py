@@ -193,23 +193,34 @@ def test_polya_limit_families(c4, c5):
 # --- classification -------------------------------------------------------
 
 def test_classify_examples(c4, c5):
-    r = classify(problem(c5, "ftsr", 0.5))
+    P = problem(c5, "ftsr", 0.5)
+    r = classify(P)
     assert r.applicable_theorem == "friedman_unique"
-    assert np.allclose(r.predicted_limit.particular, 0.5)
+    assert np.allclose(P.predicted_limit.particular, 0.5)
     r = classify(problem(c5, "ftsr", 0.0))
     assert r.applicable_theorem == "friedman_unique"  # non-bipartite
     r = classify(problem(c4, "ftsr", 0.0))
     assert r.applicable_theorem == "friedman_bipartite_partial_sync"
     r = classify(problem(c4, "ftnr", 1.0))
     assert r.applicable_theorem == "friedman_bipartite_partial_sync"
-    r = classify(problem(c4, "ptnr", 0.0))
+    P = problem(c4, "ptnr", 0.0)
+    r = classify(P)
     assert r.applicable_theorem == "polya_bipartite_two_param"
-    assert r.predicted_limit.dimension == 2
+    assert P.predicted_limit.dimension == 2
     r = classify(problem(c5, "ptsr", 0.5))
     assert r.applicable_theorem == "polya_regular_sync"
-    r = classify(problem(c5, "ptsr", 1.0))
+    P = problem(c5, "ptsr", 1.0)
+    r = classify(P)
     assert r.applicable_theorem == "unknown"  # independent urns: no claim
-    assert r.predicted_limit is None
+    assert P.predicted_limit is None
+
+
+def test_classification_builds_no_drift(c5):
+    # verify reads the label before its ensembles, where the drift's BLAS
+    # product would add to the peak memory
+    P = problem(c5, "ftsnr", 0.5)
+    P.classification
+    assert "drift" not in vars(P)
 
 
 def test_classify_requires_uniform_t0_for_partial_sync(c4):
@@ -237,10 +248,10 @@ def test_classify_unique_iff_limit_set_is_point(c4, c5, p3, grid33):
     for g in (c4, c5, p3, grid33):
         for code in ("ftsr", "ftnr", "ftsnr"):
             for p in (0.0, 0.25, 0.75, 1.0):
-                r = classify(problem(g, code, p))
-                if r.applicable_theorem == "friedman_unique":
-                    assert r.predicted_limit.kind == "unique_point"
-                    assert np.allclose(r.predicted_limit.particular, 0.5)
+                P = problem(g, code, p)
+                if classify(P).applicable_theorem == "friedman_unique":
+                    assert P.predicted_limit.kind == "unique_point"
+                    assert np.allclose(P.predicted_limit.particular, 0.5)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -250,17 +261,17 @@ def test_classify_unique_iff_limit_set_is_point(c4, c5, p3, grid33):
 @example(MULTI_SOURCE_ARCS, "ftsr", 0.0)
 @example(MULTI_SOURCE_RELABELLED, "ftsr", 0.0)
 def test_directed_unique_theorem_has_the_point_limit_half(arcs, code, p):
-    r = classify(problem(digraph(arcs), code, p))
-    if r.applicable_theorem.endswith("_unique"):
-        assert r.predicted_limit.kind == "unique_point"
-        assert np.allclose(r.predicted_limit.particular, 0.5)
+    P = problem(digraph(arcs), code, p)
+    if classify(P).applicable_theorem.endswith("_unique"):
+        assert P.predicted_limit.kind == "unique_point"
+        assert np.allclose(P.predicted_limit.particular, 0.5)
 
 
 def test_multi_source_classification_is_label_free():
     for arcs in (MULTI_SOURCE_ARCS, MULTI_SOURCE_RELABELLED):
-        r = classify(problem(digraph(arcs), "ftsr", 0.0))
-        assert r.applicable_theorem == "directed_general"
-        assert r.predicted_limit.kind == "one_parameter"
+        P = problem(digraph(arcs), "ftsr", 0.0)
+        assert classify(P).applicable_theorem == "directed_general"
+        assert P.predicted_limit.kind == "one_parameter"
 
 
 # the dimension of the limit set each of the paper's labels predicts
@@ -284,7 +295,7 @@ def test_each_paper_label_predicts_its_limit_dimension(seed):
                     r = P.classification
                     case = (g.edges, g.directed, code, p, t0, r.applicable_theorem)
                     if r.applicable_theorem in _LABEL_KIND:
-                        assert r.predicted_limit.kind == _LABEL_KIND[r.applicable_theorem], case
+                        assert P.predicted_limit.kind == _LABEL_KIND[r.applicable_theorem], case
                     else:
                         assert r.applicable_theorem in ("directed_general", "unknown"), case
                     if P.walk_drift:  # K is the bare graph walk, bit for bit
