@@ -7,7 +7,6 @@ Monte Carlo verification.
 
 from .dynamics import EnsembleTrajectories, ModelConfig, simulate_ensemble
 from .experiments import (
-    VerificationReport,
     fluctuation_estimate,
     manifold_distance,
     rate_fit,

@@ -409,22 +409,8 @@ def cmd_verify(args) -> int:
         plan = experiments.default_plan(problem)
     plan.update(run)
     report = experiments.verify(problem, plan)
-    payload = {
-        "overall_pass": report.overall_pass,
-        "criteria": [
-            {
-                "criterion": e.criterion,
-                "theoretical": e.theoretical,
-                "empirical": e.empirical,
-                "tolerance": e.tolerance,
-                "pass": e.passed,
-                "note": e.note,
-            }
-            for e in report.entries
-        ],
-    }
-    _write_json(args.out, payload)
-    return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
+    _write_json(args.out, report)
+    return EXIT_OK if report["overall_pass"] else EXIT_VERIFY_FAIL
 
 
 def cmd_export_limit(args) -> int:

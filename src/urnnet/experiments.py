@@ -24,13 +24,11 @@ from .errors import (
     TooFewReplicasError,
     UrnnetError,
 )
-from .theory import LimitSet, Problem
+from .theory import UNIQUE_POINT_THEOREMS, LimitSet, Problem
 
 __all__ = [
     "SyncMetrics",
     "RateFit",
-    "VerificationEntry",
-    "VerificationReport",
     "sync_metrics",
     "manifold_distance",
     "rate_fit",
@@ -159,25 +157,6 @@ def fluctuation_estimate(Z: np.ndarray, t: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # verification plans
 
-@dataclass(frozen=True)
-class VerificationEntry:
-    criterion: str
-    theoretical: object
-    empirical: object
-    tolerance: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    entries: tuple
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
 # The budget of a plan or criterion that sets none.
 _BUDGET = {"steps": 100_000, "replicas": 64, "schedule": "geometric(1.2)"}
 
@@ -188,7 +167,7 @@ def default_plan(problem: Problem) -> dict:
     targets 1/2 1, so only a unique point gets it; 'unknown' predicts no
     limit, so its manifold criterion fails with that reason."""
     theorem = problem.classification.applicable_theorem
-    if theorem in ("friedman_unique", "directed_friedman_unique"):
+    if theorem in UNIQUE_POINT_THEOREMS:
         criteria = [{"kind": "convergence"}, {"kind": "manifold"}]
     elif theorem == "polya_regular_sync":
         criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "global"}]
@@ -212,8 +191,10 @@ _KINDS = {
 }
 
 
-def verify(problem: Problem, plan: dict) -> VerificationReport:
-    """Run the plan's ensembles and evaluate every criterion.
+def verify(problem: Problem, plan: dict) -> dict:
+    """Run the plan's ensembles and evaluate every criterion: the report
+    {"overall_pass": bool, "criteria": [entry, ...]} that `urnnet verify`
+    prints, each entry as _entry builds it.
 
     Criteria share the plan-level (steps, replicas, schedule, seed) budget
     unless they override it. Every criterion and its budget are read and
@@ -245,9 +226,14 @@ def verify(problem: Problem, plan: dict) -> VerificationReport:
         try:
             entries.append(evaluate(ensemble))
         except UrnnetError as exc:
-            entries.append(VerificationEntry(kind, None, None, tol, False,
-                                             f"{type(exc).__name__}: {exc}"))
-    return VerificationReport(entries=tuple(entries))
+            entries.append(_entry(kind, None, None, tol, False, f"{type(exc).__name__}: {exc}"))
+    return {"overall_pass": all(e["pass"] for e in entries), "criteria": entries}
+
+
+def _entry(criterion, theoretical, empirical, tolerance, passed, note) -> dict:
+    """One criterion's report entry, its keys in the order verify prints them."""
+    return {"criterion": criterion, "theoretical": theoretical, "empirical": empirical,
+            "tolerance": tolerance, "pass": passed, "note": note}
 
 
 def _criterion(crit, plan: dict, problem: Problem) -> tuple:
@@ -288,8 +274,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
 
             def evaluate(ensemble):
                 sup = float(np.abs(snapshot(ensemble) - target).max(axis=1).mean())
-                return VerificationEntry(f"convergence@t={at}", written, sup, tol, sup <= tol,
-                                         "mean sup-norm distance to target")
+                return _entry(f"convergence@t={at}", written, sup, tol, sup <= tol,
+                              "mean sup-norm distance to target")
         elif kind == "sync":
             scope = crit.get("scope", "partition" if problem.g.bipartition else "global")
             if scope not in ("global", "partition"):
@@ -297,18 +283,18 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             cross = crit.get("cross_sum_tolerance")  # the note echoes it as written
             if cross is not None:
                 cross_tol = read_number(cross, "'cross_sum_tolerance'", integer=False, least=0)
-                need = read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
-                                   integer=False)
-                if not 0 <= need <= 1:
-                    raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
+            need = read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
+                               integer=False)
+            if not 0 <= need <= 1:
+                raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
 
             def evaluate(ensemble):
                 sm = sync_metrics(problem, snapshot(ensemble),
                                   require_partition=(scope == "partition"))
                 if scope == "global":
                     emp = float(sm.global_spread.mean())
-                    return VerificationEntry(f"sync-global@t={at}", 0.0, emp, tol, emp <= tol,
-                                             "mean global spread")
+                    return _entry(f"sync-global@t={at}", 0.0, emp, tol, emp <= tol,
+                                  "mean global spread")
                 emp = float(max(sm.within_v.mean(), sm.within_w.mean()))
                 ok = emp <= tol
                 note = "mean within-partition spread"
@@ -316,7 +302,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                     frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
                     ok = ok and frac >= need
                     note += f"; cross-sum within {cross} for {frac:.0%} of replicas"
-                return VerificationEntry(f"sync-partition@t={at}", 0.0, emp, tol, ok, note)
+                return _entry(f"sync-partition@t={at}", 0.0, emp, tol, ok, note)
         elif kind == "manifold":
             def evaluate(ensemble):
                 ls = problem.predicted_limit
@@ -324,8 +310,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                     raise NotApplicableError(
                         f"no predicted limit ({problem.classification.applicable_theorem})")
                 emp = float(manifold_distance(snapshot(ensemble), ls).mean())
-                return VerificationEntry(f"manifold@t={at}", 0.0, emp, tol, emp <= tol,
-                                         f"mean distance to {ls.kind} limit set")
+                return _entry(f"manifold@t={at}", 0.0, emp, tol, emp <= tol,
+                              f"mean distance to {ls.kind} limit set")
         elif kind == "rate":
             contrast = _read_numbers(crit.get("contrast"), "'contrast'")
             if contrast.ndim not in (1, 2) or len(contrast) != n:
@@ -352,9 +338,9 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 want = -problem.spectral.theta if target is None else target
                 es = ensemble(budget)
                 fit = rate_fit(es.times, es.Z, statistic, window, contrast)
-                return VerificationEntry(f"rate[{statistic}]", want, fit.slope, tol,
-                                         abs(fit.slope - want) <= tol,
-                                         f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
+                return _entry(f"rate[{statistic}]", want, fit.slope, tol,
+                              abs(fit.slope - want) <= tol,
+                              f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
         else:  # fluctuation
             sigma = _read_numbers(crit["sigma"], "'sigma'") if "sigma" in crit else None
             if sigma is not None and sigma.shape != (n, n):
@@ -369,8 +355,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 emp = fluctuation_estimate(snapshot(ensemble), at)
                 ref = rep.Sigma if sigma is None else sigma
                 err = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
-                return VerificationEntry(f"fluctuation@t={at}", ref.tolist(), emp.tolist(), tol,
-                                         err <= tol, f"relative Frobenius error {err:.3f}")
+                return _entry(f"fluctuation@t={at}", ref.tolist(), emp.tolist(), tol,
+                              err <= tol, f"relative Frobenius error {err:.3f}")
     except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind!r} criterion: {exc}") from None
     return kind, tol, evaluate

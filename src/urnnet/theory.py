@@ -77,6 +77,8 @@ _NEAR_CRITICAL_BAND = 0.05
 _SIGN_MAX_ITER = 50
 # (eta, kappa): reinforce the urn itself, its neighbours, or both
 _SWITCHES = {"self": (1, 0), "neighbour": (0, 1), "self_and_neighbour": (1, 1)}
+# The classify labels that predict the unique point 1/2 1, both Friedman's
+UNIQUE_POINT_THEOREMS = ("friedman_unique", "directed_friedman_unique")
 
 
 @dataclass(frozen=True)
@@ -371,8 +373,8 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     sqrt(t/log t) regime with SigmaTilde, and rho < 1/2 no stated scaling.
     """
     cfg, g = problem.cfg, problem.g
-    cls = problem.classification  # its two labels below are Friedman's alone
-    if cls.applicable_theorem not in ("friedman_unique", "directed_friedman_unique"):
+    cls = problem.classification
+    if cls.applicable_theorem not in UNIQUE_POINT_THEOREMS:
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 
@@ -389,8 +391,9 @@ def fluctuation(problem: Problem) -> FluctuationReport:
                 M = (2 * cfg.p + 1) * np.eye(n) + 2 * (1 - cfg.p) * ADi
                 Sigma = np.linalg.inv(M) / (4.0 * cfg.s)
             else:
-                M = np.eye(n) + 2 * cfg.p * ADi + 2 * (1 - cfg.p) * (ADi @ ADi)
-                Sigma = (ADi @ ADi) @ np.linalg.inv(M) / (4.0 * cfg.s)
+                ADi2 = ADi @ ADi
+                M = np.eye(n) + 2 * cfg.p * ADi + 2 * (1 - cfg.p) * ADi2
+                Sigma = ADi2 @ np.linalg.inv(M) / (4.0 * cfg.s)
             Sigma = 0.5 * (Sigma + Sigma.T)
         else:
             Sigma = sigma_lyapunov(problem)

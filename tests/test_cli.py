@@ -378,9 +378,15 @@ def test_config_file_unknown_model_exit_2(c4_file, tmp_path, capsys):
     ('{"graph": "GRAPH", "model": "ftsr", "steps": "1_0"}', "steps must be an integer, got '1_0'"),
     ("graph = GRAPH\nmodel = ftsr\np = \u0660.\u0665\n",
      "p must be a finite number, got '\u0660.\u0665'"),
+    ("graph = GRAPH\nmodel ftsr\n", "config line 2: expected key = value"),
+    ('{"model": "ftsr"}', "error: missing --graph"),
+    ('{"graph": "GRAPH"}', "error: missing --model"),
+    ("graph = GRAPH\nmodel = ftsr\nsampling = sometimes\n",
+     "sampling must be 'with' or 'without', got 'sometimes'"),
 ], ids=["malformed-json", "non-string-model", "non-string-graph", "fractional-s",
         "fractional-steps", "fractional-replicas", "boolean-seed", "non-boolean-directed",
-        "flag-only-key", "non-utf8", "underscore-steps", "arabic-indic-p"])
+        "flag-only-key", "non-utf8", "underscore-steps", "arabic-indic-p", "line-without-equals",
+        "missing-graph", "missing-model", "unknown-sampling"])
 def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     cfgfile = tmp_path / "run.json"
     # a lone surrogate escape writes one byte that is not UTF-8
@@ -481,6 +487,10 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "'cross_sum_tolerance' must be >= 0, got -1.0"),
     ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": 0.5,'
      ' "cross_sum_fraction": 95}]}', "'cross_sum_fraction' must lie in [0, 1], got 95.0"),
+    # read whether or not a cross_sum_tolerance asks for the cross-sum check
+    ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "partition",'
+     ' "cross_sum_fraction": "abc"}]}', "'cross_sum_fraction' must be a finite number, got 'abc'"),
+    ('[{"kind": "convergence"}]', ": expected a JSON object"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -495,7 +505,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "geometric-without-parentheses", "geometric-reversed-parentheses", "geometric-colons",
         "bare-geometric", "empty-geometric", "empty-criteria", "criteria-object",
         "non-numeric-cross-sum-tolerance", "null-cross-sum-fraction", "non-numeric-rate-target",
-        "negative-cross-sum-tolerance", "cross-sum-fraction-above-1"])
+        "negative-cross-sum-tolerance", "cross-sum-fraction-above-1",
+        "cross-sum-fraction-without-tolerance", "json-array"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

@@ -47,6 +47,11 @@ def test_config_rejects_oversampling_without_replacement(k2):
         problem(k2, "ftsr", p=0.5, s=10, t0=4, sampling="without")
 
 
+def test_config_rejects_t0_and_w0_of_different_lengths():
+    with pytest.raises(ConfigError, match="T0 and W0 must have the same length"):
+        ModelConfig("ftsr", 0.5, 2, 1, "with", np.array([4, 4, 4]), np.array([2, 2]))
+
+
 def test_config_code_is_the_one_model_identity():
     for code, pair in MODEL_CODES.items():
         cfg = ModelConfig.from_code(code.upper(), p=0.5, s=2, C=1, t0=4, n=3)

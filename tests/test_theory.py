@@ -450,10 +450,13 @@ def test_critical_sigma_tilde_ftnr_carries_nu_squared(c5):
 
 
 def test_fluctuation_subcritical_reports_not_applicable(c4):
-    rep = fluctuation(problem(c4, "ftnr", 0.8, s=2))
+    P = problem(c4, "ftnr", 0.8, s=2)
+    rep = fluctuation(P)
     assert rep.rho == pytest.approx(0.4)
     assert rep.regime == "not_applicable"
     assert rep.Sigma is None
+    with pytest.raises(NotApplicableError, match="no sqrt\\(t\\) regime"):
+        sigma_lyapunov(P)
 
 
 def test_fluctuation_requires_unique_friedman_limit(c4):
@@ -489,3 +492,9 @@ def test_decay_examples(k2, c4, p3):
 def test_decay_requires_bipartite(c5):
     with pytest.raises(AssumptionViolatedError):
         decay_exponents(problem(c5).spectral)
+
+
+def test_decay_requires_diagonalizable():
+    g = parse_edge_list(DEFECTIVE_EDGES, directed=True)
+    with pytest.raises(AssumptionViolatedError, match="not diagonalizable"):
+        decay_exponents(problem(g).spectral)
