@@ -346,7 +346,7 @@ def _write_trajectories(fh, raw) -> None:
     four tokens: "replica," and ",urn," made once per run, the snapshot's t,
     and its (W, T) pair's "W,T,Z" tail. Each distinct pair of a snapshot is
     found by exact int64 comparison and formatted once, its Z the float64
-    W / T of EnsembleTrajectories.Z."""
+    W / T, as EnsembleTrajectories.fractions computes it."""
     _, replicas, n = raw.W.shape
     tokens = np.empty((replicas, n, 4), dtype=object)
     tokens[..., 0] = np.array(["%d," % r for r in range(replicas)], dtype=object)[:, None]
@@ -381,7 +381,7 @@ def cmd_simulate(args) -> int:
         with _open_out(args.stats_out) as fh:
             fh.write("t,urn,mean,var\n")
             for k, t in enumerate(times):
-                Z = raw.Z[k]
+                Z = raw.fractions(k)
                 var = Z.var(axis=0, ddof=1) if replicas > 1 else np.zeros(n)
                 fh.write(_csv_rows("%d,%d,%.12g,%.12g\n", repeat(t), urns,
                                    Z.mean(axis=0).tolist(), var.tolist()))
@@ -390,11 +390,11 @@ def cmd_simulate(args) -> int:
             fh.write("t,urn_i,urn_j,cov\n")
             row_i, col_j = np.repeat(urns, n).tolist(), urns * n
             for k, t in enumerate(times):
-                c = np.cov(raw.Z[k].T, ddof=1) if replicas > 1 else np.zeros((n, n))
+                c = np.cov(raw.fractions(k).T, ddof=1) if replicas > 1 else np.zeros((n, n))
                 fh.write(_csv_rows("%d,%d,%d,%.12g\n", repeat(t), row_i, col_j,
                                    np.ravel(c).tolist()))
     elapsed = time.perf_counter() - start
-    final_mean = raw.Z[-1].mean(axis=0)
+    final_mean = raw.fractions(-1).mean(axis=0)
     sys.stderr.write("simulated %d replicas x %d steps in %.2fs; final mean Z = %s\n"
                      % (replicas, steps, elapsed, np.array2string(final_mean, precision=6)))
     return EXIT_OK
@@ -415,7 +415,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export_limit(args) -> int:
     problem, _ = _load_problem(args)
-    ls = theory.limit_set(problem.drift)  # the limit classify predicts, when it predicts one
+    # the numerical solution set, which analyze's limit_set may not print:
+    # that is None under 'unknown' and the point 1/2 1 under a unique-point
+    # theorem, whatever the rank of K
+    ls = theory.limit_set(problem.drift)
     with _open_out(args.out) as fh:
         fh.write("vector,component,value\n")
         fh.write(_csv_rows("particular,%d,%.12g\n", count(), ls.particular.tolist()))

@@ -20,7 +20,8 @@ reinforcement list (itself and/or its in-neighbours) with one gather and
 one np.add.reduceat. All randomness is consumed from a single
 numpy Generator in a fixed order: per block of b steps, b*R*n coins, then
 b*R*n picks, then each step's R*n*s sample uniforms in step order. The loop
-holds one block's coins and picks, in two buffers refilled in place, and
+holds one block of uniforms in one buffer refilled in place, first with the
+coins, of which it keeps only the mask coin < p, then with the picks; and
 one step's sample uniforms. Results are bit-reproducible for a given (seed,
 config, graph, replicas) regardless of the snapshot schedule.
 """
@@ -60,12 +61,13 @@ MODEL_CODES = {
 
 # A block is as many steps, at most 128, as fit this many uniforms at (2 + s)
 # per (replica, urn). The formula fixes where block boundaries fall, and so
-# the stream layout, though the loop holds only a block's coins and picks; it
-# depends only on (replicas, n, s), never on the schedule.
+# the stream layout, though the loop holds only one block of uniforms and its
+# self-sampling mask; it depends only on (replicas, n, s), never on the
+# schedule.
 _BLOCK_BUDGET = 4_000_000
 # Sample sources are state-independent and are computed from a block's
-# uniforms for about this many (replica, urn) pairs at a time, which keeps
-# the index array small next to the block's coins and picks.
+# mask and picks for about this many (replica, urn) pairs at a time, which
+# keeps the index array small next to the block's uniforms.
 _SOURCE_CHUNK = 8192
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -145,7 +147,12 @@ class EnsembleTrajectories:
     @cached_property
     def Z(self) -> np.ndarray:
         """Colour fractions W / T as one (K, R, n) array."""
-        return self.W / self.T[:, None, :]
+        return self.fractions(slice(None))
+
+    def fractions(self, k) -> np.ndarray:
+        """Colour fractions W / T of snapshot k alone, (R, n); or of the
+        snapshots a slice k selects."""
+        return self.W[k] / self.T[k][..., None, :]
 
     def index_of(self, t: int) -> int:
         """Position of checkpoint t in times; NotACheckpointError if absent."""
@@ -179,15 +186,20 @@ class StepKernel:
             self.rflat, self.roff = self.nbr_flat, self.nbr_off
         self.ones = np.ones(cfg.s, np.int64)  # counts a sample's 0/1 draws exactly
 
-    def sources(self, coin, pick):
-        """Flat indices into the (R, n) state of the urn each urn samples
-        from, for a (..., R, n) block of self/neighbour coins and picks.
+    def samples_itself(self, coin, out=None):
+        """The mask coin < p of the urns that sample themselves, for a
+        (..., R, n) block of self/neighbour coins (into out when given)."""
+        return np.less(coin, self.cfg.p, out=out)
 
-        coin < p samples the urn itself, otherwise pick selects one of its
+    def sources(self, own, pick):
+        """Flat indices into the (R, n) state of the urn each urn samples
+        from, for a (..., R, n) block of samples_itself masks and picks.
+
+        An urn in own samples itself, otherwise pick selects one of its
         in-neighbours uniformly; replica r's indices are offset by r*n.
         """
-        R, n = coin.shape[-2:]
-        src = np.where(coin < self.cfg.p, self.idx,
+        R, n = own.shape[-2:]
+        src = np.where(own, self.idx,
                        self.nbr_flat[self.nbr_off + (pick * self.deg).astype(np.int64)])
         src += np.arange(0, R * n, n)[:, None]
         return src
@@ -355,16 +367,17 @@ def simulate_ensemble(problem: Problem, steps: int,
 
     block = max(1, min(128, _BLOCK_BUDGET // max(1, replicas * n * (2 + cfg.s))))
     chunk = max(1, _SOURCE_CHUNK // (replicas * n))
-    coins = np.empty((min(block, steps), replicas, n))
-    picks = np.empty_like(coins)
+    uniforms = np.empty((min(block, steps), replicas, n))
+    owns = np.empty(uniforms.shape, bool)
     draws = np.empty((replicas, n, cfg.s))
     t = 0
     while t < steps:
         b = min(block, steps - t)
-        coin, pick = rng.random(out=coins[:b]), rng.random(out=picks[:b])
+        own = kern.samples_itself(rng.random(out=uniforms[:b]), out=owns[:b])
+        pick = rng.random(out=uniforms[:b])
         for j in range(b):
             if j % chunk == 0:
-                src = kern.sources(coin[j:j + chunk], pick[j:j + chunk])
+                src = kern.sources(own[j:j + chunk], pick[j:j + chunk])
             rng.random(out=draws)
             kern.reinforce(W, kern.chi(kern.draw(W, T, src[j % chunk], draws)))
             T = T + kern.dT

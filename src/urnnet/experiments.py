@@ -202,8 +202,8 @@ def verify(problem: Problem, plan: dict) -> dict:
     budget, a malformed criterion) is a ConfigError. Ensembles are cached
     per checked budget, so two spellings of one schedule run one ensemble.
     An UrnnetError inside a criterion (inapplicable theory, a missing
-    checkpoint) becomes a failed entry whose note names the error type; any
-    other exception propagates.
+    checkpoint) becomes a failed entry, named as the evaluated entry would
+    be, whose note names the error type; any other exception propagates.
     """
     check_keys("plan", plan, _PLAN_KEYS)
     criteria = plan.get("criteria")
@@ -222,11 +222,11 @@ def verify(problem: Problem, plan: dict) -> dict:
         return cache[budget]
 
     entries = []
-    for kind, tol, evaluate in parsed:
+    for label, tol, evaluate in parsed:
         try:
             entries.append(evaluate(ensemble))
         except UrnnetError as exc:
-            entries.append(_entry(kind, None, None, tol, False, f"{type(exc).__name__}: {exc}"))
+            entries.append(_entry(label, None, None, tol, False, f"{type(exc).__name__}: {exc}"))
     return {"overall_pass": all(e["pass"] for e in entries), "criteria": entries}
 
 
@@ -237,10 +237,12 @@ def _entry(criterion, theoretical, empirical, tolerance, passed, note) -> dict:
 
 
 def _criterion(crit, plan: dict, problem: Problem) -> tuple:
-    """crit read and checked, its defaults applied: (kind, tolerance,
-    evaluate). evaluate(ensemble) runs the check on ensemble(budget), the
-    run of the criterion's own keys, else the plan's, else _BUDGET's and the
-    problem's seed, through check_budget; "at" defaults to the last step.
+    """crit read and checked, its defaults applied: (label, tolerance,
+    evaluate), where label is the entry's "criterion" name, kind@t=at,
+    sync-scope@t=at or rate[statistic]. evaluate(ensemble) runs the check on
+    ensemble(budget), the run of the criterion's own keys, else the plan's,
+    else _BUDGET's and the problem's seed, through check_budget; "at"
+    defaults to the last step.
     The theory a check compares against is read inside evaluate, after the
     plan is checked. ConfigError unless crit is an object with a known
     string "kind", only the common keys and its kind's own, and values that
@@ -260,11 +262,12 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
     try:
         tol = read_number(crit.get("tolerance", 0.05), "'tolerance'", integer=False, least=0)
         at = read_number(crit.get("at", budget[0]), "'at'")
+        label = f"{kind}@t={at}"
 
         def snapshot(ensemble):
             """The (R, n) snapshot at "at"; NotACheckpointError off the schedule."""
             es = ensemble(budget)
-            return es.Z[es.index_of(at)]
+            return es.fractions(es.index_of(at))
 
         if kind == "convergence":
             written = crit.get("target", 0.5)  # the report echoes it as written
@@ -274,7 +277,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
 
             def evaluate(ensemble):
                 sup = float(np.abs(snapshot(ensemble) - target).max(axis=1).mean())
-                return _entry(f"convergence@t={at}", written, sup, tol, sup <= tol,
+                return _entry(label, written, sup, tol, sup <= tol,
                               "mean sup-norm distance to target")
         elif kind == "sync":
             scope = crit.get("scope", "partition" if problem.g.bipartition else "global")
@@ -287,14 +290,15 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                                integer=False)
             if not 0 <= need <= 1:
                 raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
+            label = f"sync-{scope}@t={at}"
 
             def evaluate(ensemble):
-                sm = sync_metrics(problem, snapshot(ensemble),
-                                  require_partition=(scope == "partition"))
+                if scope == "partition" and problem.g.bipartition is None:  # no run needed
+                    raise NoBipartitionError("graph admits no bipartition")
+                sm = sync_metrics(problem, snapshot(ensemble))
                 if scope == "global":
                     emp = float(sm.global_spread.mean())
-                    return _entry(f"sync-global@t={at}", 0.0, emp, tol, emp <= tol,
-                                  "mean global spread")
+                    return _entry(label, 0.0, emp, tol, emp <= tol, "mean global spread")
                 emp = float(max(sm.within_v.mean(), sm.within_w.mean()))
                 ok = emp <= tol
                 note = "mean within-partition spread"
@@ -302,7 +306,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                     frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
                     ok = ok and frac >= need
                     note += f"; cross-sum within {cross} for {frac:.0%} of replicas"
-                return _entry(f"sync-partition@t={at}", 0.0, emp, tol, ok, note)
+                return _entry(label, 0.0, emp, tol, ok, note)
         elif kind == "manifold":
             def evaluate(ensemble):
                 ls = problem.predicted_limit
@@ -310,7 +314,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                     raise NotApplicableError(
                         f"no predicted limit ({problem.classification.applicable_theorem})")
                 emp = float(manifold_distance(snapshot(ensemble), ls).mean())
-                return _entry(f"manifold@t={at}", 0.0, emp, tol, emp <= tol,
+                return _entry(label, 0.0, emp, tol, emp <= tol,
                               f"mean distance to {ls.kind} limit set")
         elif kind == "rate":
             contrast = _read_numbers(crit.get("contrast"), "'contrast'")
@@ -328,6 +332,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             target = crit.get("target")
             if target is not None:
                 target = read_number(target, "'target'", integer=False)
+            label = f"rate[{statistic}]"
 
             def evaluate(ensemble):
                 if target is None and not (problem.walk_drift
@@ -338,7 +343,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 want = -problem.spectral.theta if target is None else target
                 es = ensemble(budget)
                 fit = rate_fit(es.times, es.Z, statistic, window, contrast)
-                return _entry(f"rate[{statistic}]", want, fit.slope, tol,
+                return _entry(label, want, fit.slope, tol,
                               abs(fit.slope - want) <= tol,
                               f"stderr={fit.stderr:.3g}, {len(fit.times)} checkpoints")
         else:  # fluctuation
@@ -355,11 +360,11 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 emp = fluctuation_estimate(snapshot(ensemble), at)
                 ref = rep.Sigma if sigma is None else sigma
                 err = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
-                return _entry(f"fluctuation@t={at}", ref.tolist(), emp.tolist(), tol,
+                return _entry(label, ref.tolist(), emp.tolist(), tol,
                               err <= tol, f"relative Frobenius error {err:.3f}")
     except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind!r} criterion: {exc}") from None
-    return kind, tol, evaluate
+    return label, tol, evaluate
 
 
 def _read_numbers(value, key: str) -> np.ndarray:

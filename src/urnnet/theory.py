@@ -223,11 +223,16 @@ class Problem:
 
     @cached_property
     def predicted_limit(self) -> Optional[LimitSet]:
-        """limit_set(drift), or None under 'unknown'. Neither the drift nor its
-        limit is built before this first read: BLAS and LAPACK work ahead of a
-        verify's ensembles would add to its peak memory."""
-        if self.classification.applicable_theorem == "unknown":
+        """The limit set the classification predicts: None under 'unknown';
+        the point 1/2 1, as the theorem states it, under the two
+        UNIQUE_POINT_THEOREMS; else limit_set(drift). Only that last case
+        builds the drift and runs an SVD, on first read: BLAS and LAPACK
+        work ahead of a verify's ensembles would add to its peak memory."""
+        theorem = self.classification.applicable_theorem
+        if theorem == "unknown":
             return None
+        if theorem in UNIQUE_POINT_THEOREMS:
+            return _limit(np.empty((0, self.g.n)))
         return limit_set(self.drift)
 
     @cached_property
@@ -277,19 +282,23 @@ def limit_set(dm: DriftModel) -> LimitSet:
     1/2 1 K = -b); InconsistentDriftError when the residual there is not
     below 1e-8, i.e. dm is no model's drift.
     """
-    half = np.full(dm.K.shape[0], 0.5)
-    residual = np.max(np.abs(dm(half)))
+    residual = np.max(np.abs(dm(np.full(dm.K.shape[0], 0.5))))
     if not residual < _RESIDUAL_TOL:
         raise InconsistentDriftError(f"1/2 is no zero of h (residual {residual:.2e})")
-    basis = nullspace(dm.K)
+    return _limit(nullspace(dm.K))
+
+
+def _limit(basis: np.ndarray) -> LimitSet:
+    """The limit set 1/2 1 + span(basis), its kind named by its dimension."""
     kind = {0: "unique_point", 1: "one_parameter", 2: "two_parameter"}.get(
         basis.shape[0], "general")
-    return LimitSet(kind=kind, particular=half, basis=basis, box=_param_box(basis))
+    return LimitSet(kind=kind, particular=np.full(basis.shape[1], 0.5), basis=basis,
+                    box=_param_box(basis))
 
 
 def classify(problem: Problem) -> ClassificationReport:
     """The paper's theorem for the configuration (Problem.predicted_limit
-    solves the limit set it predicts); it builds no drift.
+    gives the limit set it predicts); it builds no drift.
 
     A Friedman limit is the point 1/2 1 unless the drift is the graph walk
     and the walk alternates, across a bipartite graph or a source component

@@ -172,14 +172,15 @@ def digraph(arcs):
 
 def draw_batch(problem, W, T, rng, ndraws: int):
     """ndraws independent sampling phases from one fixed state (W, T)
-    through the step kernel. Returns (source, Y, chi), each (ndraws, n)."""
+    through the step kernel methods simulate_ensemble calls, its coin < p
+    included. Returns (source, Y, chi), each (ndraws, n)."""
     rng = np.random.default_rng(rng)
     n = problem.g.n
     coin = rng.random((ndraws, n))
     pick = rng.random((ndraws, n))
     draws = rng.random((ndraws, n, problem.cfg.s))
     kern = StepKernel(problem)
-    src = kern.sources(coin, pick)
+    src = kern.sources(kern.samples_itself(coin), pick)
     Y = kern.draw(np.broadcast_to(W, (ndraws, n)), T, src, draws)
     return src % n, Y, kern.chi(Y)
 

@@ -294,6 +294,26 @@ def test_export_limit(c4_file, tmp_path, capsys):
     assert any(row.startswith("basis0,") for row in lines)
 
 
+@pytest.mark.parametrize("model,p", [("ftsr", "1e-12"), ("ftnr", "0.999999999999")])
+def test_unique_point_theorem_prints_its_point_where_k_is_near_singular(
+        c4_file, tmp_path, capsys, model, p):
+    # within ~1e-9 of the graph walk K is numerically singular on C4: the
+    # theorem (p > 0, p < 1) still states the point 1/2 1, which analyze
+    # prints, while export-limit writes the numerical solution set
+    rc, rep = run_json(["analyze", "--graph", c4_file, "--model", model, "--p", p], capsys)
+    assert rc == 0
+    assert rep["classification"]["applicable_theorem"] == "friedman_unique"
+    assert rep["limit_set"] == {"kind": "unique_point", "particular": [0.5] * 4, "basis": [],
+                                "parameter_box": []}
+    out = tmp_path / "limit.csv"
+    assert main(["export-limit", "--graph", c4_file, "--model", model, "--p", p,
+                 "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert {vector for vector, _, _ in rows} == {"particular", "basis0"}  # one basis row
+    u = [float(v) for vector, i, v in rows if vector == "basis0" and i.isdigit()]
+    assert np.allclose(np.multiply(u, np.sign(u[0])), [0.5, -0.5, 0.5, -0.5])
+
+
 @pytest.mark.parametrize("schedule", ["geometric(1.2)", "all"])
 def test_simulate_negative_steps_exit_2(c4_file, tmp_path, schedule, capsys):
     out = tmp_path / "t.csv"

@@ -421,6 +421,23 @@ def test_simulate_holds_one_block_of_coins_and_picks(c4, steps):
     assert peak < bound, (peak / 2 ** 20, bound / 2 ** 20)
 
 
+def test_simulate_holds_one_block_of_uniforms_and_its_mask(c4):
+    # coins and picks share one buffer of a block's float64 uniforms, and the
+    # coins live on only as their one-byte coin < p mask; the margin covers
+    # the snapshots and a step's temporaries, as above
+    R, s, steps = 2000, 2, 300
+    P = problem(c4, "ftnr", p=0.8, s=s)
+    block = max(1, min(128, _BLOCK_BUDGET // (R * c4.n * (2 + s))))
+    bound = block * R * c4.n * (8 + 1) + 4 * 2 ** 20
+    tracemalloc.start()
+    try:
+        simulate_ensemble(P, steps, replicas=R, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2 ** 20, bound / 2 ** 20)
+
+
 def test_ensemble_replicas_independent_at_t0(c4):
     P = problem(c4, "ftsr", p=0.5, seed=3)
     raw = simulate_ensemble(P, steps=10, schedule=[0, 10], replicas=16)

@@ -320,3 +320,33 @@ def test_readme_plan_and_default_plan_pass_the_plan_checks(c4):
         for plan in (readme_plan, experiments.default_plan(P)):
             for crit in plan["criteria"]:
                 experiments._criterion(crit, plan, P)
+
+
+def test_partition_sync_without_bipartition_fails_before_its_ensemble(c5, monkeypatch):
+    # the graph's bipartition is known when the plan is read, so the entry
+    # needs no run; its bytes are those of the check after a run
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a criterion that cannot hold")
+    monkeypatch.setattr(experiments, "simulate_ensemble", no_run)
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    report = verify(P, {"steps": 100, "replicas": 4,
+                        "criteria": [{"kind": "sync", "scope": "partition"}]})
+    assert report == {"overall_pass": False, "criteria": [
+        {"criterion": "sync-partition@t=100", "theoretical": None, "empirical": None,
+         "tolerance": 0.05, "pass": False,
+         "note": "NoBipartitionError: graph admits no bipartition"}]}
+
+
+def test_failed_entries_are_named_as_evaluated_ones(c5):
+    # two failed criteria of one kind stay apart in the report
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    report = verify(P, {"steps": 100, "replicas": 4, "criteria": [
+        {"kind": "sync", "scope": "partition", "at": 50},
+        {"kind": "sync", "scope": "partition"},
+        {"kind": "rate", "contrast": [1, -1, 0, 0, 0]},
+        {"kind": "convergence", "at": 9}]})
+    assert [e["criterion"] for e in report["criteria"]] == [
+        "sync-partition@t=50", "sync-partition@t=100", "rate[mean-gap]", "convergence@t=9"]
+    assert [e["note"].split(":")[0] for e in report["criteria"]] == [
+        "NoBipartitionError", "NoBipartitionError", "NotApplicableError",
+        "NotACheckpointError"]

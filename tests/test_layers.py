@@ -52,11 +52,15 @@ def count_calls(monkeypatch) -> collections.Counter:
 
 
 @pytest.mark.parametrize("command,edges,directed,uncalled", [
-    ("analyze", grid_edges(5, 5), False, ()),
-    ("analyze", FIG2_EDGES, True, ()),
-    # the default plan has no fluctuation criterion, and an undirected
-    # classification reads no spectrum
-    ("verify", C5_EDGES, False, ("spectral.eigendecompose", "theory.fluctuation")),
+    # ftsnr is a unique-point theorem on both graphs: its limit is the point
+    # 1/2 1 as the theorem states it, so no limit_set solve
+    ("analyze", grid_edges(5, 5), False, ("theory.limit_set",)),
+    ("analyze", FIG2_EDGES, True, ("theory.limit_set",)),
+    # the default plan has no fluctuation criterion, an undirected
+    # classification reads no spectrum, and the predicted point needs no
+    # drift, so not even the dense adjacency: no BLAS or LAPACK call at all
+    ("verify", C5_EDGES, False, ("spectral.eigendecompose", "theory.fluctuation",
+                                 "theory.drift_model", "theory.limit_set", "graphs.matrices")),
     # the limit set is limit_set(drift) whatever the classification
     ("export-limit", grid_edges(5, 5), False,
      ("spectral.eigendecompose", "theory.classify", "theory.fluctuation")),
