@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--replicas", default=None)
     pv.add_argument("--schedule", default=None)
 
-    pe = sub.add_parser("export-limit", help="dump the predicted limit-set basis as CSV")
+    pe = sub.add_parser("export-limit", help="write the numerical limit set of h(z) = 0 as CSV")
     add_common(pe)
     return ap
 
@@ -305,7 +305,7 @@ def cmd_analyze(args) -> int:
         },
         "limit_set": _limit_set_json(problem.predicted_limit),
     }
-    if cfg.is_friedman:
+    if cfg.scheme == "friedman":
         try:
             rep = problem.fluctuation
             report["fluctuation"] = {

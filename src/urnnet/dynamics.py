@@ -15,15 +15,17 @@ its flat index into the (replicas, n) state is computed ahead, a chunk of
 steps at a time. Sampling with replacement gathers the sources' fractions
 W/T in one take and counts each urn's s successes with one integer matrix
 product, exact for any s; without replacement, drawn balls are removed
-between s sequential comparisons. Reinforcement sums chi over each urn's
-reinforcement list (itself and/or its in-neighbours) with one gather and
-one np.add.reduceat. All randomness is consumed from a single
-numpy Generator in a fixed order: per block of b steps, b*R*n coins, then
-b*R*n picks, then each step's R*n*s sample uniforms in step order. The loop
-holds one block of uniforms in one buffer refilled in place, first with the
-coins, of which it keeps only the mask coin < p, then with the picks; and
-one step's sample uniforms. Results are bit-reproducible for a given (seed,
-config, graph, replicas) regardless of the snapshot schedule.
+between s sequential comparisons. Reinforcement sums the drawn white counts
+Y over each urn's list (itself and/or its in-neighbours) with one gather
+and one np.add.reduceat and adds C lam sum(Y) + b0 dT, dT = C s omega:
+C sum(Y) for Polya, (b0, lam) = (0, 1), and C sum(s - Y) for Friedman,
+(1, -1). All randomness is consumed from a single numpy Generator in a
+fixed order: per block of b steps, b*R*n coins, then b*R*n picks, then
+each step's R*n*s sample uniforms in step order. The loop holds one block
+of uniforms in one buffer refilled in place, first with the coins, of which
+it keeps only the mask coin < p, then with the picks; and one step's sample
+uniforms. Results are bit-reproducible for a given (seed, config, graph,
+replicas) regardless of the snapshot schedule.
 """
 from __future__ import annotations
 
@@ -128,10 +130,6 @@ class ModelConfig:
         return MODEL_CODES[self.code][1]
 
     @property
-    def is_friedman(self) -> bool:
-        return self.scheme == "friedman"
-
-    @property
     def uniform_t0(self) -> bool:
         return bool(np.all(self.T0 == self.T0[0]))
 
@@ -167,8 +165,8 @@ class StepKernel:
     """One problem's tables for the two phases of a step.
 
     Both phases read the in-neighbour lists; no n x n array is built. Each
-    urn gains C times the sum of chi over its reinforcement list: itself
-    when eta, then its in-neighbours when kappa (eta, kappa are 0 or 1).
+    urn gains C lam sum(Y) + b0 dT white balls, summing Y over its omega_i
+    urns: itself when eta, then its in-neighbours when kappa (0 or 1 each).
     """
 
     def __init__(self, problem: Problem):
@@ -178,6 +176,7 @@ class StepKernel:
         self.idx = np.arange(len(self.deg))
         params = problem.params
         self.dT = cfg.C * cfg.s * params.omega
+        self.gain, self.base = cfg.C * params.lam, params.b0 * self.dT
         self.rflat = self.roff = None
         if params.kappa and params.eta:
             self.rflat = np.insert(self.nbr_flat, self.nbr_off, self.idx)
@@ -224,15 +223,12 @@ class StepKernel:
             t_rem -= 1.0
         return w_src - w_rem.astype(np.int64)
 
-    def chi(self, Y):
-        """The reinforcing count: Y for Polya, s - Y for Friedman."""
-        return Y if self.cfg.scheme == "polya" else self.cfg.s - Y
-
-    def reinforce(self, W, chi) -> None:
-        """Add one step's white balls to W in place (integer-exact)."""
+    def reinforce(self, W, Y) -> None:
+        """Add the white balls of draw's (R, n) counts Y to W in place (exact)."""
         if self.rflat is not None:
-            chi = np.add.reduceat(chi[:, self.rflat], self.roff, axis=1)
-        W += self.cfg.C * chi
+            Y = np.add.reduceat(Y[:, self.rflat], self.roff, axis=1)
+        W += self.gain * Y
+        W += self.base
 
 
 def read_number(value, key: str, integer: bool = True, least=None):
@@ -379,7 +375,7 @@ def simulate_ensemble(problem: Problem, steps: int,
             if j % chunk == 0:
                 src = kern.sources(own[j:j + chunk], pick[j:j + chunk])
             rng.random(out=draws)
-            kern.reinforce(W, kern.chi(kern.draw(W, T, src[j % chunk], draws)))
+            kern.reinforce(W, kern.draw(W, T, src[j % chunk], draws))
             T = T + kern.dT
             t += 1
             if t in snap_at:

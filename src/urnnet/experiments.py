@@ -55,16 +55,13 @@ class SyncMetrics:
     cross_sum: Optional[np.ndarray] = None  # (R,) zbar_v + zbar_w
 
 
-def sync_metrics(problem: Problem, Z: np.ndarray,
-                 require_partition: bool = False) -> SyncMetrics:
+def sync_metrics(problem: Problem, Z: np.ndarray) -> SyncMetrics:
     """Per-replica synchronization metrics of an (R, n) snapshot Z."""
     deg, g = problem.deg, problem.g
     dbar = deg.sum()
     zbar = Z @ deg / dbar
     global_spread = np.abs(Z - zbar[:, None]).max(axis=1)
     if g.bipartition is None:
-        if require_partition:
-            raise NoBipartitionError("graph admits no bipartition")
         return SyncMetrics(zbar=zbar, global_spread=global_spread)
     V, W = g.bipartition
     vi = sorted(V)
@@ -340,6 +337,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                     raise NotApplicableError("the default target -theta is the graph-walk "
                                              "drift's rate, where theta is defined; give a "
                                              "'target'")
+                if statistic == "variance" and budget[1] < 2:
+                    raise TooFewReplicasError("need at least 2 replicas for a variance")
                 want = -problem.spectral.theta if target is None else target
                 es = ensemble(budget)
                 fit = rate_fit(es.times, es.Z, statistic, window, contrast)
@@ -350,6 +349,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             sigma = _read_numbers(crit["sigma"], "'sigma'") if "sigma" in crit else None
             if sigma is not None and sigma.shape != (n, n):
                 raise ConfigError(f"'sigma' must be an {n} x {n} matrix")
+            if sigma is not None and not sigma.any():
+                raise ConfigError("'sigma' is all zero, so no error is relative to it")
 
             def evaluate(ensemble):
                 rep = problem.fluctuation

@@ -6,10 +6,10 @@ is computed once.
 Everything uses the row-vector convention: the mean field is
 h(z) = b + z K, states are rows, and K is the Jacobian. Zeros of h are the
 candidate limits; the affine solution set intersected with [0,1]^N is the
-limit manifold. It always passes through 1/2 1: the transfer matrix T is
-column stochastic and (b, K) is (0, T - I) for Polya, (1, -(T + I)) for
-Friedman. So a basis row u_j of the manifold ranges over the parameter box
-+-1/(2 max_i |u_ji|).
+limit manifold. Every drift is h(z) = b0 1 + z (lam T - I): the transfer matrix
+T = P~ R is column stochastic and (b0, lam) is (0, 1) for Polya, (1, -1) for
+Friedman. So the manifold passes through 1/2 1, and a basis row u_j of it
+ranges over the parameter box +-1/(2 max_i |u_ji|).
 
 The paper's theorems turn on one fact, Problem.walk_drift: K is the bare
 graph walk -(I + A D^-1). It is their one case of a Friedman limit other
@@ -77,6 +77,7 @@ _NEAR_CRITICAL_BAND = 0.05
 _SIGN_MAX_ITER = 50
 # (eta, kappa): reinforce the urn itself, its neighbours, or both
 _SWITCHES = {"self": (1, 0), "neighbour": (0, 1), "self_and_neighbour": (1, 1)}
+_REINFORCED = {"polya": (0, 1), "friedman": (1, -1)}
 # The classify labels that predict the unique point 1/2 1, both Friedman's
 UNIQUE_POINT_THEOREMS = ("friedman_unique", "directed_friedman_unique")
 
@@ -146,11 +147,13 @@ class DecayPrediction:
 
 
 class Params(NamedTuple):
-    """Reinforcement switches eta/kappa and per-urn total growth omega."""
+    """Switches eta/kappa, growth omega; s draws with Y white add b0 s + lam Y white balls."""
 
     eta: int
     kappa: int
     omega: np.ndarray
+    b0: int
+    lam: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,26 +185,37 @@ class Problem:
 
     @cached_property
     def ADi(self) -> np.ndarray:
-        """The column-stochastic transfer matrix A D^-1."""
+        """The column-stochastic graph walk A D^-1."""
         return self.A / self.deg[None, :]
 
     @cached_property
     def params(self) -> Params:
         """eta/kappa per neighbourhood mode; omega_i = eta + kappa d_i, so
-        1, d_i or d_i + 1.
+        1, d_i or d_i + 1; (b0, lam) per scheme.
 
         Degrees are in-degrees on directed graphs (reinforcement arrives from
         in-neighbours, one packet per incoming edge).
         """
         eta, kappa = _SWITCHES[self.cfg.neighbourhood]
-        return Params(eta, kappa, eta + kappa * self.g.in_neighbours[1])
+        return Params(eta, kappa, eta + kappa * self.g.in_neighbours[1],
+                      *_REINFORCED[self.cfg.scheme])
 
     @cached_property
     def R(self) -> np.ndarray:
         """The reinforcement matrix (eta I + kappa A) Omega^-1: entry (j, i)
         weighs urn j's draw in the update of urn i's fraction."""
-        eta, kappa, omega = self.params
+        eta, kappa, omega, _, _ = self.params
         return (eta * np.eye(self.g.n) + kappa * self.A) / omega[None, :].astype(float)
+
+    @property
+    def Ptil(self) -> np.ndarray:
+        """P~ = p I + (1-p) A D^-1; like transfer, uncached so no n x n copy outlives drift."""
+        return self.cfg.p * np.eye(self.g.n) + (1.0 - self.cfg.p) * self.ADi
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """The column-stochastic T = P~ R; P~ itself under self-reinforcement."""
+        return self.Ptil if self.cfg.neighbourhood == "self" else self.Ptil @ self.R
 
     @cached_property
     def walk_drift(self) -> bool:
@@ -241,20 +255,9 @@ class Problem:
 
 
 def drift_model(problem: Problem) -> DriftModel:
-    """Assemble h(z) = b + zK for the six scheme/neighbourhood cases.
-
-    The transfer matrix is T = P~ R with P~ = p I + (1-p) A D^-1 the sampling
-    matrix; self-reinforcement has R = I, so T = P~. Directed graphs enter
-    through the in-degrees, which is what problem.deg holds.
-    """
-    cfg, n = problem.cfg, problem.g.n
-    I = np.eye(n)
-    Ptil = cfg.p * I + (1.0 - cfg.p) * problem.ADi
-    T = Ptil if cfg.neighbourhood == "self" else Ptil @ problem.R
-
-    if cfg.scheme == "polya":
-        return DriftModel(b=np.zeros(n), K=T - I)
-    return DriftModel(b=np.ones(n), K=-(T + I))
+    """h(z) = b + zK with b = b0 1 and K = lam T - I, T the transfer matrix."""
+    params, n = problem.params, problem.g.n
+    return DriftModel(b=np.full(n, float(params.b0)), K=params.lam * problem.transfer - np.eye(n))
 
 
 def stability(dm: DriftModel):
@@ -308,7 +311,7 @@ def classify(problem: Problem) -> ClassificationReport:
     modes). 'unknown', with no prediction, where no theorem applies.
     """
     cfg, g = problem.cfg, problem.g
-    neigh, p = cfg.neighbourhood, cfg.p
+    neigh, p, friedman = cfg.neighbourhood, cfg.p, cfg.scheme == "friedman"
     bip = g.bipartition is not None
     regular = g.regular_degree is not None
     uniform = cfg.uniform_t0
@@ -324,11 +327,11 @@ def classify(problem: Problem) -> ClassificationReport:
     if problem.walk_drift and alternates:
         if uniform and diag:
             theorem = "directed_general" if g.directed else "friedman_bipartite_partial_sync"
-    elif cfg.is_friedman and not g.directed:
+    elif friedman and not g.directed:
         theorem = "friedman_unique"
-    elif cfg.is_friedman and (neigh != "neighbour" or p > 0.0):  # directed ftnr p = 0: none
+    elif friedman and (neigh != "neighbour" or p > 0.0):  # directed ftnr p = 0: none
         theorem = "directed_friedman_unique"
-    elif not cfg.is_friedman and not g.directed and uniform and (
+    elif not friedman and not g.directed and uniform and (
             p < 1.0 if neigh == "self" else regular):
         if neigh == "neighbour" and p == 0.0 and bip:
             theorem = "polya_bipartite_two_param"

@@ -173,7 +173,8 @@ def digraph(arcs):
 def draw_batch(problem, W, T, rng, ndraws: int):
     """ndraws independent sampling phases from one fixed state (W, T)
     through the step kernel methods simulate_ensemble calls, its coin < p
-    included. Returns (source, Y, chi), each (ndraws, n)."""
+    included. Returns (source, Y, chi), each (ndraws, n), where chi =
+    b0 s + lam Y is the count of white balls an urn's draw reinforces."""
     rng = np.random.default_rng(rng)
     n = problem.g.n
     coin = rng.random((ndraws, n))
@@ -182,7 +183,8 @@ def draw_batch(problem, W, T, rng, ndraws: int):
     kern = StepKernel(problem)
     src = kern.sources(kern.samples_itself(coin), pick)
     Y = kern.draw(np.broadcast_to(W, (ndraws, n)), T, src, draws)
-    return src % n, Y, kern.chi(Y)
+    params = problem.params
+    return src % n, Y, params.b0 * problem.cfg.s + params.lam * Y
 
 
 def expected_chi(problem, W, T):
@@ -202,7 +204,7 @@ def reference_simulate(problem, steps, schedule, replicas, seed):
     sum(axis=-1) count and separate self and neighbour reinforcement terms.
     It consumes the random stream in simulate_ensemble's block layout."""
     cfg, n, R = problem.cfg, problem.g.n, replicas
-    eta, kappa, omega = problem.params
+    eta, kappa, omega, _, _ = problem.params
     nbr_flat, deg = problem.g.in_neighbours
     nbr_off = np.cumsum(deg) - deg
     rng = np.random.default_rng(seed)

@@ -511,6 +511,9 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "partition",'
      ' "cross_sum_fraction": "abc"}]}', "'cross_sum_fraction' must be a finite number, got 'abc'"),
     ('[{"kind": "convergence"}]', ": expected a JSON object"),
+    # a zero reference has no relative error: rejected before the ensemble runs
+    ('{"steps": 200, "replicas": 4, "criteria": [{"kind": "fluctuation", "sigma": %s}]}'
+     % json.dumps([[0] * 5] * 5), "'sigma' is all zero"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -526,7 +529,7 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "bare-geometric", "empty-geometric", "empty-criteria", "criteria-object",
         "non-numeric-cross-sum-tolerance", "null-cross-sum-fraction", "non-numeric-rate-target",
         "negative-cross-sum-tolerance", "cross-sum-fraction-above-1",
-        "cross-sum-fraction-without-tolerance", "json-array"])
+        "cross-sum-fraction-without-tolerance", "json-array", "all-zero-sigma"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

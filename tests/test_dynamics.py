@@ -224,11 +224,18 @@ def test_with_replacement_variance_matches_mixture(p3):
 
 # --- reinforcement ------------------------------------------------------------
 
+def white_drawn(code, s, chi):
+    """The white counts Y whose draw reinforces chi: Y for Polya, s - Y for
+    Friedman."""
+    chi = np.asarray(chi, np.int64)
+    return chi if code.startswith("p") else s - chi
+
+
 def reinforce(P, W, chi):
     """One reinforcement phase through the step loop's kernel, chi forced."""
     kern = StepKernel(P)
     W = np.array(W)[None, :]
-    kern.reinforce(W, np.asarray(chi, np.int64)[None, :])
+    kern.reinforce(W, white_drawn(P.cfg.code, P.cfg.s, chi)[None, :])
     return W[0], kern.dT
 
 
@@ -281,7 +288,7 @@ def test_reinforce_matches_edge_loop_oracle(seed, directed):
                 if code[2:] in ("nr", "snr"):  # each u -> v reinforces v
                     for u in in_neighbours_oracle(g, v):
                         want[r, v] += C * chi[r, u]
-        kern.reinforce(W, chi)
+        kern.reinforce(W, white_drawn(code, s, chi))
         assert np.array_equal(W, want), code
 
 

@@ -9,7 +9,6 @@ from urnnet import experiments
 from urnnet.dynamics import simulate_ensemble
 from urnnet.errors import (
     ConfigError,
-    NoBipartitionError,
     NonPositiveStatisticError,
     TooFewReplicasError,
 )
@@ -77,8 +76,10 @@ def test_sync_metrics_all_half(c4):
 def test_sync_metrics_requires_bipartition(c5):
     P = problem(c5, "ptsr", 0.5)
     es = simulate_ensemble(P, 10, schedule=[10], replicas=4)
-    with pytest.raises(NoBipartitionError):
-        sync_metrics(P, es.Z[-1], require_partition=True)
+    sm = sync_metrics(P, es.Z[-1])
+    assert sm.global_spread.shape == (4,)
+    assert all(getattr(sm, field) is None for field in (
+        "zbar_v", "zbar_w", "within_v", "within_w", "cross_sum"))
 
 
 def test_manifold_distance_trivial_cases(c4):
@@ -335,6 +336,21 @@ def test_partition_sync_without_bipartition_fails_before_its_ensemble(c5, monkey
         {"criterion": "sync-partition@t=100", "theoretical": None, "empirical": None,
          "tolerance": 0.05, "pass": False,
          "note": "NoBipartitionError: graph admits no bipartition"}]}
+
+
+def test_variance_rate_with_one_replica_fails_before_its_ensemble(c4, monkeypatch, capsys):
+    # a variance needs two replicas, which the budget shows before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a criterion that cannot hold")
+    monkeypatch.setattr(experiments, "simulate_ensemble", no_run)
+    P = problem(c4, "ftsr", 0.0, seed=9)
+    report = verify(P, {"steps": 300, "replicas": 1, "criteria": [
+        {"kind": "rate", "contrast": [1, -1, 1, -1], "statistic": "variance"}]})
+    assert report == {"overall_pass": False, "criteria": [
+        {"criterion": "rate[variance]", "theoretical": None, "empirical": None,
+         "tolerance": 0.05, "pass": False,
+         "note": "TooFewReplicasError: need at least 2 replicas for a variance"}]}
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_entries_are_named_as_evaluated_ones(c5):

@@ -160,6 +160,30 @@ def test_limit_set_is_centred_at_half(g, code, p):
             assert np.min(np.minimum(np.abs(z), np.abs(1 - z))) <= 1e-12, (code, p, c)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_every_drift_is_lam_transfer_minus_identity(seed):
+    # h(z) = b0 1 + z (lam T - I) with T column stochastic, bit for bit
+    rng = np.random.default_rng(seed)
+    graphs = (random_connected_graph(rng), random_directed_graph(rng),
+              digraph(random_multi_component_arcs(rng)))
+    for g in graphs:
+        for code in ALL_CODES:
+            for p in (0.0, 0.3, 0.5, 1.0):
+                P = problem(g, code, p)
+                b0, lam = P.params.b0, P.params.lam
+                case = (g.edges, g.directed, code, p)
+                assert (b0, lam) == ((0, 1) if code.startswith("p") else (1, -1)), case
+                assert np.max(np.abs(np.ones(g.n) @ P.transfer - 1.0)) <= 1e-12, case
+                dm = drift_model(P)
+                I = np.eye(g.n)
+                for K in (lam * P.transfer - I,
+                          P.transfer - I if code.startswith("p") else -(P.transfer + I)):
+                    assert np.array_equal(dm.K.view(np.int64), K.view(np.int64)), case
+                assert np.array_equal(dm.b.view(np.int64),
+                                      np.full(g.n, float(b0)).view(np.int64)), case
+
+
 def test_limit_set_rejects_a_drift_without_the_zero_half():
     with pytest.raises(InconsistentDriftError):
         limit_set(DriftModel(b=np.ones(3), K=np.eye(3)))
