@@ -321,15 +321,16 @@ def cmd_analyze(args) -> int:
             report["fluctuation"] = {"unavailable": str(exc)}
     else:
         report["fluctuation"] = None
-    if sd.theta is not None and sd.diagonalizable and not problem.walk_drift:
-        report["decay"] = {"unavailable": "the drift is not the graph walk -(I + A D^-1)"}
-    elif sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
-        dp = theory.decay_exponents(sd)
-        report["decay"] = {
-            "mean_exponent": sig12(dp.mean_exponent),
-            "variance_exponent": sig12(dp.variance_exponent),
-            "log_correction": dp.log_correction,
-        }
+    if sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
+        if not problem.walk_drift:
+            report["decay"] = {"unavailable": "the drift is not the graph walk -(I + A D^-1)"}
+        else:
+            dp = theory.decay_exponents(sd)
+            report["decay"] = {
+                "mean_exponent": sig12(dp.mean_exponent),
+                "variance_exponent": sig12(dp.variance_exponent),
+                "log_correction": dp.log_correction,
+            }
     del problem  # the report holds what it prints; free A, ADi and R before writing it
     _write_json(args.out, report)
     return EXIT_OK

@@ -102,13 +102,16 @@ def rate_fit(times: np.ndarray, Z: np.ndarray, statistic: str, window, Q) -> Rat
     Z is the (K, R, n) stack of snapshots at the K checkpoints times.
     statistic 'mean-gap' uses |mean over replicas of Z_t Q| (vector Q gives a
     scalar contrast; a matrix uses the Euclidean norm of the mean vector);
-    'variance' uses the ensemble variance of Z_t Q. Checkpoints where the
+    'variance' uses the ensemble variance of Z_t Q, so it needs R >= 2
+    replicas (TooFewReplicasError otherwise). Checkpoints where the
     statistic is not strictly positive are dropped, and so are those outside
     window = (lo, hi); verify's default window is (100, steps), since the
     rates are asymptotic and the early transient is excluded.
     """
     if statistic not in ("mean-gap", "variance"):
         raise ConfigError(f"unknown statistic {statistic!r}")
+    if statistic == "variance" and Z.shape[1] < 2:
+        raise TooFewReplicasError("need at least 2 replicas for a variance")
     lo, hi = window
     mask = (times >= lo) & (times <= hi) & (times > 0)
     ts = times[mask]
@@ -267,22 +270,21 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             return es.fractions(es.index_of(at))
 
         if kind == "convergence":
-            written = crit.get("target", 0.5)  # the report echoes it as written
-            target = _read_numbers(written, "'target'")
+            target = _read_numbers(crit.get("target", 0.5), "'target'")
             if target.shape not in ((), (n,)):
                 raise ConfigError(f"'target' must be a number or {n} numbers")
 
             def evaluate(ensemble):
                 sup = float(np.abs(snapshot(ensemble) - target).max(axis=1).mean())
-                return _entry(label, written, sup, tol, sup <= tol,
+                return _entry(label, target.tolist(), sup, tol, sup <= tol,
                               "mean sup-norm distance to target")
         elif kind == "sync":
             scope = crit.get("scope", "partition" if problem.g.bipartition else "global")
             if scope not in ("global", "partition"):
                 raise ConfigError(f"'scope' must be 'global' or 'partition', got {scope!r}")
-            cross = crit.get("cross_sum_tolerance")  # the note echoes it as written
+            cross = crit.get("cross_sum_tolerance")
             if cross is not None:
-                cross_tol = read_number(cross, "'cross_sum_tolerance'", integer=False, least=0)
+                cross = read_number(cross, "'cross_sum_tolerance'", integer=False, least=0)
             need = read_number(crit.get("cross_sum_fraction", 0.95), "'cross_sum_fraction'",
                                integer=False)
             if not 0 <= need <= 1:
@@ -300,7 +302,7 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 ok = emp <= tol
                 note = "mean within-partition spread"
                 if cross is not None:
-                    frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross_tol))
+                    frac = float(np.mean(np.abs(sm.cross_sum - 1.0) <= cross))
                     ok = ok and frac >= need
                     note += f"; cross-sum within {cross} for {frac:.0%} of replicas"
                 return _entry(label, 0.0, emp, tol, ok, note)

@@ -20,18 +20,16 @@ The stationary covariance of sqrt(t) (Z_t - 1/2 1) solves the Lyapunov
 equation (K + I/2)^T Sigma + Sigma (K + I/2) = -Gamma_eff, where Gamma_eff
 is the covariance of the martingale noise as it enters the recursion,
 (1/4s) R^T R with the reinforcement matrix R = (eta I + kappa A) Omega^-1.
-On regular graphs (A D^-1 symmetric) this has explicit closed forms:
-
-    self-reinforcement:       Sigma = (1/4s) [(2p+1) I + 2(1-p) A D^-1]^-1
-    neighbour-reinforcement:  Sigma = (1/4s) (A D^-1)^2 [I + 2p A D^-1 + 2(1-p)(A D^-1)^2]^-1
-
-both of which the numerical solver and direct simulation reproduce. Off the
-closed forms, Sigma comes from the Newton sign iteration (Roberts 1980;
-Higham, Functions of Matrices, ch. 5), which needs no eigenvectors. In the
-critical regime (rho = 1/2) the sqrt(t/log t)-scaled covariance is
-(1/4s) U diag(B w) U^T, where A D^-1 = U diag(nu) U^T, B selects the critical
-eigendirections and the noise factor w is 1 for self and nu^2 for neighbour
-reinforcement.
+On a regular graph K and Gamma_eff are polynomials in the symmetric A D^-1
+and commute, so with M = -(2K + I) one closed form covers every model:
+Sigma = Gamma_eff M^-1, and in the critical regime (rho = 1/2) the
+sqrt(t/log t)-scaled covariance SigmaTilde is Gamma_eff projected onto
+ker M, the critical directions. The paper's two formulas,
+(1/4s) [(2p+1) I + 2(1-p) A D^-1]^-1 and
+(1/4s) (A D^-1)^2 [I + 2p A D^-1 + 2(1-p)(A D^-1)^2]^-1, are its self and
+neighbour cases. On every non-regular or directed graph Sigma comes from
+sigma_lyapunov's Newton sign iteration (Roberts 1980; Higham, Functions of
+Matrices, ch. 5), which needs no eigenvectors.
 """
 from __future__ import annotations
 
@@ -130,6 +128,9 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class FluctuationReport:
+    """Regime and covariances of fluctuation(); closed_form means a regular
+    graph: Sigma/SigmaTilde from the commuting closed form."""
+
     rho: float
     regime: str  # sqrt_t | sqrt_t_over_log_t | not_applicable
     Gamma: np.ndarray
@@ -383,29 +384,25 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     1/2 1. rho is the smallest eigenvalue of -K; rho > 1/2 gives the
     sqrt(t) regime with covariance Sigma, rho = 1/2 (within 1e-9) the
     sqrt(t/log t) regime with SigmaTilde, and rho < 1/2 no stated scaling.
+    Both come from the module's closed form on a regular graph; elsewhere
+    Sigma comes from sigma_lyapunov and SigmaTilde is None.
     """
-    cfg, g = problem.cfg, problem.g
-    cls = problem.classification
+    cls, n = problem.classification, problem.g.n
     if cls.applicable_theorem not in UNIQUE_POINT_THEOREMS:
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 
-    n, ADi = g.n, problem.ADi
-    # A D^-1 is symmetric exactly when the (connected, undirected) graph is regular
-    symmetric = g.regular_degree is not None
     rho = float(-np.max(problem.drift.eigenvalues.real))
-    Gamma = np.eye(n) / (4.0 * cfg.s)
-    closed = symmetric and cfg.neighbourhood in ("self", "neighbour")
+    Gamma = np.eye(n) / (4.0 * problem.cfg.s)
+    # K and Gamma_eff are symmetric polynomials in A D^-1, and so commute,
+    # exactly when the (connected, undirected) graph is regular
+    closed = problem.g.regular_degree is not None
+    if closed:
+        M = -(2 * problem.drift.K + np.eye(n))
 
     if rho > 0.5 + _CRITICAL_TOL:
         if closed:
-            if cfg.neighbourhood == "self":
-                M = (2 * cfg.p + 1) * np.eye(n) + 2 * (1 - cfg.p) * ADi
-                Sigma = np.linalg.inv(M) / (4.0 * cfg.s)
-            else:
-                ADi2 = ADi @ ADi
-                M = np.eye(n) + 2 * cfg.p * ADi + 2 * (1 - cfg.p) * ADi2
-                Sigma = ADi2 @ np.linalg.inv(M) / (4.0 * cfg.s)
+            Sigma = noise_covariance(problem) @ np.linalg.inv(M)
             Sigma = 0.5 * (Sigma + Sigma.T)
         else:
             Sigma = sigma_lyapunov(problem)
@@ -416,15 +413,9 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     if abs(rho - 0.5) <= _CRITICAL_TOL:
         tilde = None
         if closed:
-            nu, U = np.linalg.eigh(ADi)
-            if cfg.neighbourhood == "self":
-                shifted = (2 * cfg.p + 1) + 2 * (1 - cfg.p) * nu
-            else:
-                shifted = 1 + 2 * cfg.p * nu + 2 * (1 - cfg.p) * nu * nu
-            B = (np.abs(shifted) < 1e-9).astype(float)
-            if cfg.neighbourhood == "neighbour":
-                B = B * nu * nu  # the noise enters through (A D^-1)^2
-            tilde = (U * B[None, :]) @ U.T / (4.0 * cfg.s)
+            mu, U = np.linalg.eigh(M)
+            P = U[:, np.abs(mu) < 1e-9]  # ker M: the critical directions
+            tilde = P @ (P.T @ noise_covariance(problem) @ P) @ P.T
         return FluctuationReport(
             rho=rho, regime="sqrt_t_over_log_t", Gamma=Gamma, Sigma=None,
             SigmaTilde=tilde, closed_form=closed)

@@ -541,17 +541,17 @@ def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     assert not out.exists()
 
 
-def test_verify_target_reads_entries_and_echoes_the_written_numbers(c5_file, tmp_path, capsys):
+def test_verify_target_reads_entries_and_echoes_the_numbers_read(c5_file, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     entries = {}
-    for target in ("0.5", '"0.5"', "1", "5e-1", "[0.5, 0.5, 0.5, 0.5, 1]"):
+    read = {"0.5": 0.5, '"0.5"': 0.5, "1": 1.0, "5e-1": 0.5,
+            "[0.5, 0.5, 0.5, 0.5, 1]": [0.5, 0.5, 0.5, 0.5, 1.0]}
+    for target, number in read.items():
         plan.write_text('{"steps": 50, "replicas": 2, "criteria": [{"kind": "convergence",'
                         ' "tolerance": 1, "target": %s}]}' % target)
         assert main(["verify", "--graph", c5_file, "--model", "ftsnr", "--plan", str(plan)]) == 0
         (entries[target],) = json.loads(capsys.readouterr().out)["criteria"]
-        written = json.loads(target)
-        assert entries[target]["theoretical"] == written
-        assert type(entries[target]["theoretical"]) is type(written)
+        assert json.dumps(entries[target]["theoretical"]) == json.dumps(number)
     # a decimal string reads as the number it spells
     assert entries['"0.5"']["empirical"] == entries["0.5"]["empirical"]
     assert entries["5e-1"]["empirical"] == entries["0.5"]["empirical"]

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,15 @@ def test_rate_fit_rejects_zero_statistic():
         rate_fit(times, Z, "mean-gap", (10, 1000), np.array([1.0, -1.0]))
 
 
+def test_rate_fit_variance_with_one_replica_raises_before_computing():
+    times = np.array([10, 100, 1000])
+    Z = 0.5 + np.arange(6.0).reshape(3, 1, 2) / 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooFewReplicasError, match="need at least 2 replicas"):
+            rate_fit(times, Z, "variance", (10, 1000), np.array([1.0, -1.0]))
+
+
 def test_fluctuation_estimate_properties(c4):
     Z = np.full((7, 4), 0.5)
     assert np.allclose(fluctuation_estimate(Z, 100), 0.0)
@@ -236,6 +246,14 @@ def test_verify_partition_sync_plan(c4):
     }
     report = verify(P, plan)
     assert report["overall_pass"], [e["note"] for e in report["criteria"]]
+
+
+def test_cross_sum_note_states_the_tolerance_read(c4):
+    P = problem(c4, "ftsr", 0.0, seed=13)
+    report = verify(P, {"steps": 50, "replicas": 2, "criteria": [
+        {"kind": "sync", "scope": "partition", "tolerance": 1, "cross_sum_tolerance": "1"}]})
+    (entry,) = report["criteria"]
+    assert entry["note"].startswith("mean within-partition spread; cross-sum within 1.0 for ")
 
 
 def test_verify_flags_wrong_sigma(k2):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,9 @@ from urnnet.theory import (
 )
 
 from conftest import (
+    C4_EDGES,
+    C5_EDGES,
+    K2_EDGES,
     MULTI_SOURCE_ARCS,
     MULTI_SOURCE_RELABELLED,
     digraph,
@@ -330,6 +335,13 @@ def test_each_paper_label_predicts_its_limit_dimension(seed):
 
 # --- fluctuation covariances ----------------------------------------------
 
+K33_EDGES = "\n".join(f"{i} {j}" for i in range(3) for j in range(3, 6))
+
+
+def _complete(n):
+    return "\n".join(f"{i} {j}" for i in range(n) for j in range(i + 1, n))
+
+
 def moment_recursion_cov(P, steps):
     """Exact propagation of E[Z_t] and E[Z_t^T Z_t] (with-replacement).
 
@@ -402,7 +414,7 @@ def test_gamma_is_quarter_s_identity(c4, c5):
 def test_lyapunov_matches_closed_forms(k2, c4, c5):
     checked = 0
     for g in (k2, c4, c5):
-        for code in ("ftsr", "ftnr"):
+        for code in ("ftsr", "ftnr", "ftsnr"):
             for p in (0.35, 0.6, 0.9, 1.0):
                 P = problem(g, code, p, s=2)
                 try:
@@ -415,6 +427,35 @@ def test_lyapunov_matches_closed_forms(k2, c4, c5):
                 assert np.max(np.abs(rep.Sigma - sigma_lyapunov(P))) < 1e-6
                 checked += 1
     assert checked >= 12
+
+
+def test_sigma_is_the_papers_formula_on_regular_graphs():
+    # the paper's two covariances, written out only here, are the self and
+    # neighbour cases of fluctuation's one closed form
+    cycle = "\n".join(f"{i} {(i + 1) % 6}" for i in range(6))
+    checked = 0
+    for edges in (K2_EDGES, C4_EDGES, C5_EDGES, cycle, _complete(4), _complete(5), K33_EDGES):
+        g = parse_edge_list(edges, directed=False)
+        I = np.eye(g.n)
+        for code, p, s in itertools.product(
+                ("ftsr", "ftnr"), (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 1.0), (1, 2, 3)):
+            P = problem(g, code, p, s=s)
+            try:
+                rep = fluctuation(P)
+            except NotApplicableError:
+                continue
+            if rep.regime != "sqrt_t":
+                continue
+            W = P.A / P.A.sum(axis=0)  # A D^-1
+            if code == "ftsr":
+                want = np.linalg.inv((2 * p + 1) * I + 2 * (1 - p) * W) / (4 * s)
+            else:
+                want = W @ W @ np.linalg.inv(I + 2 * p * W + 2 * (1 - p) * W @ W) / (4 * s)
+            assert rep.closed_form
+            err = np.linalg.norm(rep.Sigma - want) / np.linalg.norm(want)
+            assert err <= 1e-12, (edges, code, p, s, err)
+            checked += 1
+    assert checked == 294
 
 
 @settings(max_examples=80, deadline=None)
@@ -473,6 +514,19 @@ def test_critical_sigma_tilde_ftnr_carries_nu_squared(c5):
     v2 = u @ moment_recursion_cov(P, t2)[1] @ u
     slope = (t2 * v2 - t1 * v1) / np.log(t2 / t1)
     assert abs(slope / want - 1) < 0.01, slope
+
+
+def test_critical_sigma_tilde_ftsnr_matches_exact_moments():
+    # K3,3 ftsnr at p = 1: T = (I + A)/4 has eigenvalue -1/2 on the alternating
+    # vector, so rho = 1/2; the exact log-slope of t Cov gives SigmaTilde
+    P = problem(parse_edge_list(K33_EDGES, directed=False), "ftsnr", 1.0, s=1)
+    rep = fluctuation(P)
+    assert rep.regime == "sqrt_t_over_log_t" and rep.closed_form
+    t1, t2 = 2_000, 8_000
+    slope = (t2 * moment_recursion_cov(P, t2)[1]
+             - t1 * moment_recursion_cov(P, t1)[1]) / np.log(t2 / t1)
+    err = np.linalg.norm(slope - rep.SigmaTilde) / np.linalg.norm(rep.SigmaTilde)
+    assert err < 0.01, err
 
 
 def test_fluctuation_subcritical_reports_not_applicable(c4):
