@@ -23,7 +23,7 @@ import numpy as np
 
 from . import experiments, theory
 from .dynamics import MODEL_CODES, ModelConfig, check_keys, read_number, simulate_ensemble
-from .errors import ConfigError, UrnnetError
+from .errors import AssumptionViolatedError, ConfigError, NotApplicableError, UrnnetError
 from .graphs import load_edge_file
 
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
@@ -182,19 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(pa)
 
     ps = sub.add_parser("simulate", help="run replicas, write trajectory CSV")
-    add_common(ps)
-    ps.add_argument("--steps", default=None)
-    ps.add_argument("--replicas", default=None)
-    ps.add_argument("--schedule", default=None, help="all | geometric(r) | t1,t2,...")
+    pv = sub.add_parser("verify", help="evaluate a criteria plan, exit 0 iff pass")
+    for p in (ps, pv):
+        add_common(p)
+        p.add_argument("--steps", default=None)
+        p.add_argument("--replicas", default=None)
+        p.add_argument("--schedule", default=None, help="all | geometric(r) | t1,t2,...")
     ps.add_argument("--stats-out", help="also write per-urn mean/var CSV")
     ps.add_argument("--cov-out", help="also write pairwise covariance CSV")
-
-    pv = sub.add_parser("verify", help="evaluate a criteria plan, exit 0 iff pass")
-    add_common(pv)
     pv.add_argument("--plan", help="plan JSON file (default: built-in plan)")
-    pv.add_argument("--steps", default=None)
-    pv.add_argument("--replicas", default=None)
-    pv.add_argument("--schedule", default=None)
 
     pe = sub.add_parser("export-limit", help="write the numerical limit set of h(z) = 0 as CSV")
     add_common(pe)
@@ -321,16 +317,17 @@ def cmd_analyze(args) -> int:
             report["fluctuation"] = {"unavailable": str(exc)}
     else:
         report["fluctuation"] = None
-    if sd.theta is not None and sd.diagonalizable:  # theta implies a real spectrum
-        if not problem.walk_drift:
-            report["decay"] = {"unavailable": "the drift is not the graph walk -(I + A D^-1)"}
-        else:
-            dp = theory.decay_exponents(sd)
-            report["decay"] = {
-                "mean_exponent": sig12(dp.mean_exponent),
-                "variance_exponent": sig12(dp.variance_exponent),
-                "log_correction": dp.log_correction,
-            }
+    try:
+        dp = problem.decay
+        report["decay"] = {
+            "mean_exponent": sig12(dp.mean_exponent),
+            "variance_exponent": sig12(dp.variance_exponent),
+            "log_correction": dp.log_correction,
+        }
+    except NotApplicableError as exc:
+        report["decay"] = {"unavailable": str(exc)}
+    except AssumptionViolatedError:  # I + A D^-1 is defective or theta is undefined
+        pass
     del problem  # the report holds what it prints; free A, ADi and R before writing it
     _write_json(args.out, report)
     return EXIT_OK

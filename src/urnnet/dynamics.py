@@ -185,14 +185,9 @@ class StepKernel:
             self.rflat, self.roff = self.nbr_flat, self.nbr_off
         self.ones = np.ones(cfg.s, np.int64)  # counts a sample's 0/1 draws exactly
 
-    def samples_itself(self, coin, out=None):
-        """The mask coin < p of the urns that sample themselves, for a
-        (..., R, n) block of self/neighbour coins (into out when given)."""
-        return np.less(coin, self.cfg.p, out=out)
-
     def sources(self, own, pick):
         """Flat indices into the (R, n) state of the urn each urn samples
-        from, for a (..., R, n) block of samples_itself masks and picks.
+        from, for a (..., R, n) block of coin < p masks and picks.
 
         An urn in own samples itself, otherwise pick selects one of its
         in-neighbours uniformly; replica r's indices are offset by r*n.
@@ -369,7 +364,7 @@ def simulate_ensemble(problem: Problem, steps: int,
     t = 0
     while t < steps:
         b = min(block, steps - t)
-        own = kern.samples_itself(rng.random(out=uniforms[:b]), out=owns[:b])
+        own = np.less(rng.random(out=uniforms[:b]), cfg.p, out=owns[:b])
         pick = rng.random(out=uniforms[:b])
         for j in range(b):
             if j % chunk == 0:

@@ -158,14 +158,14 @@ def fluctuation_estimate(Z: np.ndarray, t: int) -> np.ndarray:
 # verification plans
 
 # The budget of a plan or criterion that sets none.
-_BUDGET = {"steps": 100_000, "replicas": 64, "schedule": "geometric(1.2)"}
+_BUDGET = {"steps": 100_000, "replicas": 64}
 
 
 def default_plan(problem: Problem) -> dict:
-    """The built-in plan: the _BUDGET defaults and, at tolerance 0.05, the
-    criteria that fit the limit the classification predicts. Convergence
-    targets 1/2 1, so only a unique point gets it; 'unknown' predicts no
-    limit, so its manifold criterion fails with that reason."""
+    """The built-in plan: the _BUDGET defaults and, at _criterion's default
+    tolerance, the criteria that fit the limit the classification predicts.
+    Convergence targets 1/2 1, so only a unique point gets it; 'unknown'
+    predicts no limit, so its manifold criterion fails with that reason."""
     theorem = problem.classification.applicable_theorem
     if theorem in UNIQUE_POINT_THEOREMS:
         criteria = [{"kind": "convergence"}, {"kind": "manifold"}]
@@ -175,7 +175,7 @@ def default_plan(problem: Problem) -> dict:
         criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "partition"}]
     else:
         criteria = [{"kind": "manifold"}]
-    return {**_BUDGET, "criteria": [{**c, "tolerance": 0.05} for c in criteria]}
+    return {**_BUDGET, "criteria": criteria}
 
 
 # The keys a plan may hold, the keys every criterion may carry, then each
@@ -241,8 +241,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
     evaluate), where label is the entry's "criterion" name, kind@t=at,
     sync-scope@t=at or rate[statistic]. evaluate(ensemble) runs the check on
     ensemble(budget), the run of the criterion's own keys, else the plan's,
-    else _BUDGET's and the problem's seed, through check_budget; "at"
-    defaults to the last step.
+    else _BUDGET's, parse_schedule's and the problem's seed, through
+    check_budget; "at" defaults to the last step.
     The theory a check compares against is read inside evaluate, after the
     plan is checked. ConfigError unless crit is an object with a known
     string "kind", only the common keys and its kind's own, and values that
@@ -255,7 +255,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
     check_keys(f"bad {kind!r} criterion", crit, _COMMON_KEYS | _KINDS[kind])
     run = {**_BUDGET, "seed": problem.cfg.seed, **plan, **crit}
     try:
-        budget = check_budget(problem, run["steps"], run["replicas"], run["schedule"], run["seed"])
+        budget = check_budget(problem, run["steps"], run["replicas"], run.get("schedule"),
+                              run["seed"])
     except ConfigError as exc:
         raise ConfigError(f"bad plan budget: {exc}") from None
     n = problem.g.n
@@ -289,6 +290,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                                integer=False)
             if not 0 <= need <= 1:
                 raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
+            if scope == "global" and {"cross_sum_tolerance", "cross_sum_fraction"} & crit.keys():
+                raise ConfigError("the cross-sum keys need scope 'partition'")
             label = f"sync-{scope}@t={at}"
 
             def evaluate(ensemble):
@@ -334,14 +337,13 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             label = f"rate[{statistic}]"
 
             def evaluate(ensemble):
-                if target is None and not (problem.walk_drift
-                                           and problem.spectral.theta is not None):
-                    raise NotApplicableError("the default target -theta is the graph-walk "
-                                             "drift's rate, where theta is defined; give a "
-                                             "'target'")
+                want = target
+                if target is None:  # analyze's exponent, never -0.0, or its reason for none
+                    dp = problem.decay
+                    want = 0.0 - (dp.mean_exponent if statistic == "mean-gap"
+                                  else dp.variance_exponent)
                 if statistic == "variance" and budget[1] < 2:
                     raise TooFewReplicasError("need at least 2 replicas for a variance")
-                want = -problem.spectral.theta if target is None else target
                 es = ensemble(budget)
                 fit = rate_fit(es.times, es.Z, statistic, window, contrast)
                 return _entry(label, want, fit.slope, tol,

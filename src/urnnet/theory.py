@@ -142,6 +142,9 @@ class FluctuationReport:
 
 @dataclass(frozen=True)
 class DecayPrediction:
+    """decay_exponents' rates: a contrast's mean decays like t^(-mean_exponent),
+    its variance like t^(-variance_exponent), times log t if log_correction."""
+
     mean_exponent: float
     variance_exponent: float
     log_correction: bool
@@ -253,6 +256,10 @@ class Problem:
     @cached_property
     def fluctuation(self) -> FluctuationReport:
         return fluctuation(self)
+
+    @cached_property
+    def decay(self) -> DecayPrediction:
+        return decay_exponents(self)
 
 
 def drift_model(problem: Problem) -> DriftModel:
@@ -424,24 +431,25 @@ def fluctuation(problem: Problem) -> FluctuationReport:
                              Sigma=None, SigmaTilde=None, closed_form=False)
 
 
-def decay_exponents(sd: SpectralData) -> DecayPrediction:
-    """Polynomial decay rates of partition contrasts, from sd, the spectrum of
-    I + A D^-1: the model's own rates only where Problem.walk_drift holds.
-
-    The mean of a contrast annihilating the zero mode decays like
-    t^(-theta); its variance decays like t^(-eps) with
-    eps = min over eigenvalue pairs (excluding the zero-zero pair) of
-    min(lambda_p + lambda_q, 1), picking up a log factor when the binding
-    pair sums to exactly 1.
+def decay_exponents(problem: Problem) -> DecayPrediction:
+    """The one rule for the paper's decay rates of partition contrasts, read
+    from the spectrum lambda of I + A D^-1 (Problem.decay caches them):
+    AssumptionViolatedError if I + A D^-1 is defective or theta undefined,
+    then NotApplicableError unless the drift is that graph walk, else the
+    mean exponent theta and the variance exponent min(lambda_0 + lambda_1, 1),
+    with a log factor where that sum is 1. The spectrum is then real and
+    ascending, so lambda_0 + lambda_1 is the least pair sum but the zero-zero one.
     """
+    sd = problem.spectral
     if not sd.diagonalizable:
         raise AssumptionViolatedError("matrix is not diagonalizable")
     # eigendecompose sets theta only on a real spectrum whose first eigenvalue is zero
     if sd.theta is None:
-        raise AssumptionViolatedError("no zero eigenvalue: graph is not bipartite")
-    lam = sd.eigenvalues
-    # every pair i <= j in row-major order; [1:] drops the zero-zero pair
-    minsum = float(np.add.outer(lam, lam)[np.triu_indices(len(lam))][1:].min())
+        raise AssumptionViolatedError(
+            "theta is undefined: I + A D^-1 needs a real spectrum with a zero eigenvalue")
+    if not problem.walk_drift:
+        raise NotApplicableError("the drift is not the graph walk -(I + A D^-1)")
+    minsum = float(sd.eigenvalues[0] + sd.eigenvalues[1])
     return DecayPrediction(
         mean_exponent=float(sd.theta),
         variance_exponent=float(min(minsum, 1.0)),

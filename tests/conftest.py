@@ -14,6 +14,12 @@ K2_EDGES = "0 1"
 P3_EDGES = "0 1\n1 2"
 FIG2_EDGES = "0 1\n1 0\n0 2\n2 3\n3 4\n4 2"
 C3_DIRECTED_EDGES = "0 1\n1 2\n2 0"
+# directed graph whose Jacobian is defective for every Friedman model at
+# p in (0, 1): its eigenvector matrix has condition number ~1e15 or worse
+DEFECTIVE_EDGES = "0 1\n0 2\n1 3\n2 0"
+# two source 2-cycles and a common sink: the zero eigenvalue of I + A D^-1
+# is double
+TWO_SOURCE_2CYCLES_ARCS = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (2, 4)]
 
 # isomorphic graphs with two source components, a 2-cycle and a 3-cycle, and
 # a common sink: the classification must not depend on the labels
@@ -181,7 +187,7 @@ def draw_batch(problem, W, T, rng, ndraws: int):
     pick = rng.random((ndraws, n))
     draws = rng.random((ndraws, n, problem.cfg.s))
     kern = StepKernel(problem)
-    src = kern.sources(kern.samples_itself(coin), pick)
+    src = kern.sources(coin < problem.cfg.p, pick)
     Y = kern.draw(np.broadcast_to(W, (ndraws, n)), T, src, draws)
     params = problem.params
     return src % n, Y, params.b0 * problem.cfg.s + params.lam * Y

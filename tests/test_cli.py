@@ -270,7 +270,7 @@ def test_verify_rate_default_target_is_the_graph_walk_rate(c4_file, tmp_path, mo
     (entry,) = rep["criteria"]
     assert rc == 1
     assert entry["theoretical"] is None
-    assert entry["note"].startswith("NotApplicableError: the default target -theta")
+    assert entry["note"].startswith("NotApplicableError: the drift is not the graph walk")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -510,6 +510,11 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     # read whether or not a cross_sum_tolerance asks for the cross-sum check
     ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "partition",'
      ' "cross_sum_fraction": "abc"}]}', "'cross_sum_fraction' must be a finite number, got 'abc'"),
+    # a global sync, its scope given or defaulted on C5, has no cross-sum check
+    ('{"steps": 10, "criteria": [{"kind": "sync", "cross_sum_tolerance": 0.03}]}',
+     "bad 'sync' criterion: the cross-sum keys need scope 'partition'"),
+    ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "global",'
+     ' "cross_sum_fraction": 1}]}', "the cross-sum keys need scope 'partition'"),
     ('[{"kind": "convergence"}]', ": expected a JSON object"),
     # a zero reference has no relative error: rejected before the ensemble runs
     ('{"steps": 200, "replicas": 4, "criteria": [{"kind": "fluctuation", "sigma": %s}]}'
@@ -529,7 +534,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "bare-geometric", "empty-geometric", "empty-criteria", "criteria-object",
         "non-numeric-cross-sum-tolerance", "null-cross-sum-fraction", "non-numeric-rate-target",
         "negative-cross-sum-tolerance", "cross-sum-fraction-above-1",
-        "cross-sum-fraction-without-tolerance", "json-array", "all-zero-sigma"])
+        "cross-sum-fraction-without-tolerance", "global-sync-cross-sum-tolerance",
+        "global-sync-cross-sum-fraction", "json-array", "all-zero-sigma"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

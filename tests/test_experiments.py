@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from urnnet import experiments
+from urnnet.cli import main
 from urnnet.dynamics import simulate_ensemble
 from urnnet.errors import (
     ConfigError,
@@ -20,9 +21,18 @@ from urnnet.experiments import (
     sync_metrics,
     verify,
 )
+from urnnet.graphs import parse_edge_list
 from urnnet.theory import LimitSet, limit_set
 
-from conftest import problem
+from conftest import (
+    DEFECTIVE_EDGES,
+    TWO_SOURCE_2CYCLES_ARCS,
+    digraph,
+    problem,
+    random_connected_graph,
+    random_directed_graph,
+    random_multi_component_arcs,
+)
 
 
 def ensemble_cov(es, k):
@@ -382,5 +392,72 @@ def test_failed_entries_are_named_as_evaluated_ones(c5):
     assert [e["criterion"] for e in report["criteria"]] == [
         "sync-partition@t=50", "sync-partition@t=100", "rate[mean-gap]", "convergence@t=9"]
     assert [e["note"].split(":")[0] for e in report["criteria"]] == [
-        "NoBipartitionError", "NoBipartitionError", "NotApplicableError",
+        "NoBipartitionError", "NoBipartitionError", "AssumptionViolatedError",
         "NotACheckpointError"]
+
+
+def test_variance_rate_default_is_the_variance_exponent(k2):
+    # K2 ftsr p = 0: theta = 2, but the variance decays like t^-min(theta, 1)
+    P = problem(k2, "ftsr", 0.0, seed=3)
+    report = verify(P, {"steps": 300, "replicas": 3, "criteria": [
+        {"kind": "rate", "contrast": [1, 1], "statistic": "variance"}]})
+    (entry,) = report["criteria"]
+    assert entry["theoretical"] == -1.0, entry
+
+
+def test_rate_default_on_a_defective_spectrum_fails_before_its_ensemble(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a criterion with no theory")
+    monkeypatch.setattr(experiments, "simulate_ensemble", no_run)
+    P = problem(parse_edge_list(DEFECTIVE_EDGES, directed=True), "ftsr", 0.0, seed=3)
+    report = verify(P, {"steps": 300, "replicas": 3, "criteria": [
+        {"kind": "rate", "contrast": [1, -1, 0, 0]}]})
+    (entry,) = report["criteria"]
+    assert (entry["theoretical"], entry["pass"]) == (None, False)
+    assert entry["note"] == "AssumptionViolatedError: matrix is not diagonalizable"
+
+
+def test_rate_default_of_a_repeated_zero_is_positive_zero():
+    # the variance exponent lambda_0 + lambda_1 of a double zero is 0
+    P = problem(digraph(TWO_SOURCE_2CYCLES_ARCS), "ftsr", 0.0, seed=3)
+    report = verify(P, {"steps": 300, "replicas": 3, "criteria": [
+        {"kind": "rate", "contrast": [1, -1, 0, 0, 0], "statistic": "variance"}]})
+    (entry,) = report["criteria"]
+    assert entry["theoretical"] == 0.0 and str(entry["theoretical"]) == "0.0", entry
+
+
+def test_rate_default_agrees_with_analyze(tmp_path, monkeypatch, capsys):
+    # verify's default target is minus the exponent analyze prints for the
+    # statistic; where analyze prints none, the entry carries its reason.
+    # The fit is stubbed: a contrast can vanish on every replica (two urns
+    # fed by one source), and the target is read before the fit.
+    monkeypatch.setattr(experiments, "rate_fit",
+                        lambda *args: experiments.RateFit(0.0, 0.0, np.array([1, 2])))
+    rng = np.random.default_rng(2029)
+    graphs = [make(rng) for make in (random_connected_graph, random_directed_graph,
+                                     lambda r: digraph(random_multi_component_arcs(r)))
+              for _ in range(40)]
+    seen = set()
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.edges"
+        path.write_text("\n".join(f"{u} {v}" for u, v in g.edges) + "\n")
+        plan = {"steps": 300, "replicas": 3, "criteria": [
+            {"kind": "rate", "contrast": [1, -1] + [0] * (g.n - 2), "statistic": statistic}
+            for statistic in ("mean-gap", "variance")]}
+        for code, p in (("ftsr", 0.0), ("ftnr", 1.0), ("ftsr", 0.5), ("ptsr", 0.5)):
+            args = ["analyze", "--graph", str(path), "--model", code, "--p", str(p)]
+            assert main(args + ["--directed"] * g.directed) == 0
+            decay = json.loads(capsys.readouterr().out).get("decay")
+            entries = verify(problem(g, code, p, seed=k), plan)["criteria"]
+            case = (g.edges, g.directed, code, p, decay)
+            for entry, key in zip(entries, ("mean_exponent", "variance_exponent")):
+                if decay is None:
+                    assert entry["note"].startswith("AssumptionViolatedError"), case
+                    seen.add("none")
+                elif "unavailable" in decay:
+                    assert entry["note"] == "NotApplicableError: " + decay["unavailable"], case
+                    seen.add("unavailable")
+                else:
+                    assert entry["theoretical"] == pytest.approx(-decay[key], rel=1e-11), case
+                    seen.add("exponents")
+    assert seen == {"none", "unavailable", "exponents"}

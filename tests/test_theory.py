@@ -23,9 +23,11 @@ from urnnet.theory import (
 from conftest import (
     C4_EDGES,
     C5_EDGES,
+    DEFECTIVE_EDGES,
     K2_EDGES,
     MULTI_SOURCE_ARCS,
     MULTI_SOURCE_RELABELLED,
+    TWO_SOURCE_2CYCLES_ARCS,
     digraph,
     expected_chi,
     problem,
@@ -35,9 +37,6 @@ from conftest import (
 )
 
 ALL_CODES = ("ptsr", "ptnr", "ptsnr", "ftsr", "ftnr", "ftsnr")
-# directed graph whose Jacobian is defective for every Friedman model at
-# p in (0, 1): its eigenvector matrix has condition number ~1e15 or worse
-DEFECTIVE_EDGES = "0 1\n0 2\n1 3\n2 0"
 
 _GRAPHS = st.tuples(st.integers(0, 10_000), st.booleans()).map(
     lambda a: (random_directed_graph if a[1] else random_connected_graph)(
@@ -560,21 +559,76 @@ def test_noise_covariance_shapes(c4):
 # --- decay exponents ------------------------------------------------------
 
 def test_decay_examples(k2, c4, p3):
-    d = decay_exponents(problem(c4).spectral)
+    d = decay_exponents(problem(c4, "ftsr", 0.0))
     assert d.mean_exponent == pytest.approx(1.0)
     assert d.variance_exponent == pytest.approx(1.0) and d.log_correction
-    d = decay_exponents(problem(k2).spectral)
+    d = decay_exponents(problem(k2, "ftsr", 0.0))
     assert d.mean_exponent == pytest.approx(2.0)
     assert d.variance_exponent == pytest.approx(1.0) and not d.log_correction
-    assert decay_exponents(problem(p3).spectral).mean_exponent == pytest.approx(1.0)
+    assert decay_exponents(problem(p3, "ftsr", 0.0)).mean_exponent == pytest.approx(1.0)
 
 
 def test_decay_requires_bipartite(c5):
     with pytest.raises(AssumptionViolatedError):
-        decay_exponents(problem(c5).spectral)
+        decay_exponents(problem(c5, "ftsr", 0.0))
 
 
 def test_decay_requires_diagonalizable():
     g = parse_edge_list(DEFECTIVE_EDGES, directed=True)
     with pytest.raises(AssumptionViolatedError, match="not diagonalizable"):
-        decay_exponents(problem(g).spectral)
+        decay_exponents(problem(g, "ftsr", 0.0))
+
+
+def test_undefined_theta_message_names_its_condition(fig2):
+    # FIG2 has a simple zero eigenvalue and a complex spectrum
+    sd = problem(fig2, "ftsr", 0.0).spectral
+    assert np.sum(np.abs(sd.eigenvalues) < 1e-8) == 1 and np.iscomplexobj(sd.eigenvalues)
+    with pytest.raises(AssumptionViolatedError, match="theta is undefined") as info:
+        decay_exponents(problem(fig2, "ftsr", 0.0))
+    assert "no zero eigenvalue" not in str(info.value)
+
+
+@pytest.mark.parametrize("code,p", [("ftsnr", 0.0), ("ftsr", 0.5), ("ftnr", 0.0),
+                                    ("ptsr", 0.5), ("ptnr", 1.0)])
+def test_decay_is_not_applicable_off_the_graph_walk(c4, code, p):
+    with pytest.raises(NotApplicableError, match="not the graph walk"):
+        problem(c4, code, p).decay
+
+
+def test_decay_is_cached_on_the_problem(c4):
+    P = problem(c4, "ftnr", 1.0)
+    assert P.decay is P.decay
+    assert P.decay == decay_exponents(problem(c4, "ftsr", 0.0))
+
+
+def _pair_minimum(lam):
+    """The least sum over eigenvalue pairs i <= j but the zero-zero pair,
+    by the O(n^2) table: the oracle of decay_exponents' lambda_0 + lambda_1."""
+    return float(np.add.outer(lam, lam)[np.triu_indices(len(lam))][1:].min())
+
+
+def test_variance_exponent_is_the_least_pair_sum_bit_for_bit():
+    rng = np.random.default_rng(29)
+    checked = repeated_zero = 0
+    for _ in range(400):
+        for g in (random_connected_graph(rng), random_directed_graph(rng),
+                  digraph(random_multi_component_arcs(rng))):
+            P = problem(g, "ftsr", 0.0)
+            try:
+                d = P.decay
+            except AssumptionViolatedError:
+                continue
+            minsum = _pair_minimum(P.spectral.eigenvalues)
+            assert d.variance_exponent == min(minsum, 1.0), g.edges
+            assert d.log_correction == (abs(minsum - 1.0) < 1e-9), g.edges
+            checked += 1
+            repeated_zero += abs(P.spectral.eigenvalues[1]) < 1e-8
+    assert checked >= 100 and repeated_zero >= 5, (checked, repeated_zero)
+
+
+def test_repeated_zero_eigenvalue_gives_variance_exponent_zero():
+    P = problem(digraph(TWO_SOURCE_2CYCLES_ARCS), "ftsr", 0.0)
+    d = P.decay
+    assert abs(P.spectral.eigenvalues[1]) < 1e-8
+    assert d.variance_exponent == _pair_minimum(P.spectral.eigenvalues)
+    assert abs(d.variance_exponent) < 1e-8 and d.mean_exponent == pytest.approx(1.0)
