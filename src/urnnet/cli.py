@@ -203,8 +203,8 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 def _load_problem(args) -> tuple:
     """(Problem, run settings): each setting is its flag, else the config
     file's, else its default. Numbers go through dynamics.read_number: the
-    model's in ModelConfig.from_code, steps and replicas here whatever the
-    command, so a malformed config file fails every command."""
+    model's in ModelConfig.from_code, steps, replicas and seed here whatever
+    the command, so a malformed config file fails every command."""
     opt = _load_config_file(args.config) if args.config else {}
     check_keys(f"config file {args.config}", opt, _CONFIG_KEYS)
     flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
@@ -227,7 +227,7 @@ def _load_problem(args) -> tuple:
     cfg = ModelConfig.from_code(model, p=opt.get("p", 0.5), s=opt.get("s", 2), C=opt.get("c", 1),
                                 t0=opt.get("t0", 4), w0=opt.get("w0"), n=g.n,
                                 sampling=opt.get("sampling", "with"), seed=opt.get("seed", 0))
-    run = {key: read_number(opt[key], key) for key in ("steps", "replicas") if key in opt}
+    run = {key: read_number(opt[key], key) for key in ("steps", "replicas", "seed") if key in opt}
     if opt.get("schedule") is not None:
         run["schedule"] = opt["schedule"]
     return theory.Problem(g, cfg), run
@@ -414,8 +414,8 @@ def cmd_verify(args) -> int:
 def cmd_export_limit(args) -> int:
     problem, _ = _load_problem(args)
     # the numerical solution set, which analyze's limit_set may not print:
-    # that is None under 'unknown' and the point 1/2 1 under a unique-point
-    # theorem, whatever the rank of K
+    # that is None with no predicted limit and the point 1/2 1 for a 'point'
+    # limit, whatever the rank of K
     ls = theory.limit_set(problem.drift)
     with _open_out(args.out) as fh:
         fh.write("vector,component,value\n")

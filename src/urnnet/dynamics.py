@@ -47,6 +47,7 @@ __all__ = [
     "MODEL_CODES",
     "check_budget",
     "check_keys",
+    "checkpoint_index",
     "read_number",
     "simulate_ensemble",
     "parse_schedule",
@@ -154,11 +155,15 @@ class EnsembleTrajectories:
 
     def index_of(self, t: int) -> int:
         """Position of checkpoint t in times; NotACheckpointError if absent."""
-        hits = np.flatnonzero(self.times == t)
-        if not hits.size:
-            raise NotACheckpointError(
-                f"t={t} is not a checkpoint (have {self.times.tolist()})")
-        return int(hits[0])
+        return checkpoint_index(self.times, t)
+
+
+def checkpoint_index(times, t: int) -> int:
+    """Position of t in the snapshot schedule times; NotACheckpointError if absent."""
+    times = np.asarray(times).tolist()
+    if t not in times:
+        raise NotACheckpointError(f"t={t} is not a checkpoint (have {times})")
+    return times.index(t)
 
 
 class StepKernel:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import check_budget, check_keys, read_number, simulate_ensemble
+from .dynamics import check_budget, check_keys, checkpoint_index, read_number, simulate_ensemble
 from .errors import (
     ConfigError,
     NoBipartitionError,
@@ -24,7 +24,7 @@ from .errors import (
     TooFewReplicasError,
     UrnnetError,
 )
-from .theory import UNIQUE_POINT_THEOREMS, LimitSet, Problem
+from .theory import LimitSet, Problem
 
 __all__ = [
     "SyncMetrics",
@@ -163,31 +163,27 @@ _BUDGET = {"steps": 100_000, "replicas": 64}
 
 def default_plan(problem: Problem) -> dict:
     """The built-in plan: the _BUDGET defaults and, at _criterion's default
-    tolerance, the criteria that fit the limit the classification predicts.
-    Convergence targets 1/2 1, so only a unique point gets it; 'unknown'
-    predicts no limit, so its manifold criterion fails with that reason."""
-    theorem = problem.classification.applicable_theorem
-    if theorem in UNIQUE_POINT_THEOREMS:
-        criteria = [{"kind": "convergence"}, {"kind": "manifold"}]
-    elif theorem == "polya_regular_sync":
-        criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "global"}]
-    elif theorem in ("friedman_bipartite_partial_sync", "polya_bipartite_two_param"):
-        criteria = [{"kind": "manifold"}, {"kind": "sync", "scope": "partition"}]
-    else:
-        criteria = [{"kind": "manifold"}]
+    tolerance, the criteria the classification's limit and sync call for:
+    convergence to 1/2 1 for a 'point' limit, then always manifold (with no
+    limit it fails with that reason), then sync in the scope sync names."""
+    cls = problem.classification
+    criteria = [{"kind": "convergence"}] if cls.limit == "point" else []
+    criteria.append({"kind": "manifold"})
+    if cls.sync:
+        criteria.append({"kind": "sync", "scope": cls.sync})
     return {**_BUDGET, "criteria": criteria}
 
 
 # The keys a plan may hold, the keys every criterion may carry, then each
-# kind's own.
+# kind's own: all but rate, which fits over a window, read one snapshot "at".
 _PLAN_KEYS = ("steps", "replicas", "schedule", "seed", "criteria")
-_COMMON_KEYS = {"kind", "tolerance", "at", "steps", "replicas", "schedule", "seed"}
+_COMMON_KEYS = {"kind", "tolerance", "steps", "replicas", "schedule", "seed"}
 _KINDS = {
-    "convergence": {"target"},
-    "sync": {"scope", "cross_sum_tolerance", "cross_sum_fraction"},
-    "manifold": set(),
+    "convergence": {"at", "target"},
+    "sync": {"at", "scope", "cross_sum_tolerance", "cross_sum_fraction"},
+    "manifold": {"at"},
     "rate": {"contrast", "window", "statistic", "target"},
-    "fluctuation": {"sigma"},
+    "fluctuation": {"at", "sigma"},
 }
 
 
@@ -266,9 +262,9 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
         label = f"{kind}@t={at}"
 
         def snapshot(ensemble):
-            """The (R, n) snapshot at "at"; NotACheckpointError off the schedule."""
-            es = ensemble(budget)
-            return es.fractions(es.index_of(at))
+            """The (R, n) snapshot at "at"; NotACheckpointError before any run if off schedule."""
+            k = checkpoint_index(budget[2], at)
+            return ensemble(budget).fractions(k)
 
         if kind == "convergence":
             target = _read_numbers(crit.get("target", 0.5), "'target'")
@@ -292,6 +288,8 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
                 raise ConfigError(f"'cross_sum_fraction' must lie in [0, 1], got {need}")
             if scope == "global" and {"cross_sum_tolerance", "cross_sum_fraction"} & crit.keys():
                 raise ConfigError("the cross-sum keys need scope 'partition'")
+            if cross is None and "cross_sum_fraction" in crit:
+                raise ConfigError("'cross_sum_fraction' needs a 'cross_sum_tolerance'")
             label = f"sync-{scope}@t={at}"
 
             def evaluate(ensemble):

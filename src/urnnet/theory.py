@@ -76,8 +76,6 @@ _SIGN_MAX_ITER = 50
 # (eta, kappa): reinforce the urn itself, its neighbours, or both
 _SWITCHES = {"self": (1, 0), "neighbour": (0, 1), "self_and_neighbour": (1, 1)}
 _REINFORCED = {"polya": (0, 1), "friedman": (1, -1)}
-# The classify labels that predict the unique point 1/2 1, both Friedman's
-UNIQUE_POINT_THEOREMS = ("friedman_unique", "directed_friedman_unique")
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,14 @@ class LimitSet:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """classify's theorem and what it predicts: limit 'point' (1/2 1, as the
+    theorem states it), 'set' (the solution set of h(z) = 0) or None; sync
+    'global' or 'partition' when the theorem says which urns synchronise."""
+
     applicable_theorem: str
     assumptions_checked: tuple  # ((name, bool), ...)
+    limit: Optional[str]
+    sync: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -241,17 +245,14 @@ class Problem:
 
     @cached_property
     def predicted_limit(self) -> Optional[LimitSet]:
-        """The limit set the classification predicts: None under 'unknown';
-        the point 1/2 1, as the theorem states it, under the two
-        UNIQUE_POINT_THEOREMS; else limit_set(drift). Only that last case
-        builds the drift and runs an SVD, on first read: BLAS and LAPACK
+        """The limit set the classification's limit names: None for none, the
+        point 1/2 1 for 'point', limit_set(drift) for 'set'. Only that last
+        case builds the drift and runs an SVD, on first read: BLAS and LAPACK
         work ahead of a verify's ensembles would add to its peak memory."""
-        theorem = self.classification.applicable_theorem
-        if theorem == "unknown":
-            return None
-        if theorem in UNIQUE_POINT_THEOREMS:
-            return _limit(np.empty((0, self.g.n)))
-        return limit_set(self.drift)
+        limit = self.classification.limit
+        if limit == "set":
+            return limit_set(self.drift)
+        return None if limit is None else _limit(np.empty((0, self.g.n)))
 
     @cached_property
     def fluctuation(self) -> FluctuationReport:
@@ -308,8 +309,9 @@ def _limit(basis: np.ndarray) -> LimitSet:
 
 
 def classify(problem: Problem) -> ClassificationReport:
-    """The paper's theorem for the configuration (Problem.predicted_limit
-    gives the limit set it predicts); it builds no drift.
+    """The paper's theorem for the configuration, with the limit and sync it
+    predicts, set by the branch that picks it, so no reader matches a label
+    (Problem.predicted_limit gives the limit set). It builds no drift.
 
     A Friedman limit is the point 1/2 1 unless the drift is the graph walk
     and the walk alternates, across a bipartite graph or a source component
@@ -331,21 +333,22 @@ def classify(problem: Problem) -> ClassificationReport:
         checks.append(("g1_odd_cycle", bool(g.g1_is_odd_cycle)))
     alternates = not g.g1_is_odd_cycle if g.directed else bip
 
-    theorem = "unknown"
+    theorem, limit, sync = "unknown", None, None
     if problem.walk_drift and alternates:
-        if uniform and diag:
-            theorem = "directed_general" if g.directed else "friedman_bipartite_partial_sync"
+        if uniform and diag:  # the directed theorem states no sync
+            theorem, limit, sync = (("directed_general", "set", None) if g.directed else
+                                    ("friedman_bipartite_partial_sync", "set", "partition"))
     elif friedman and not g.directed:
-        theorem = "friedman_unique"
+        theorem, limit = "friedman_unique", "point"
     elif friedman and (neigh != "neighbour" or p > 0.0):  # directed ftnr p = 0: none
-        theorem = "directed_friedman_unique"
+        theorem, limit = "directed_friedman_unique", "point"
     elif not friedman and not g.directed and uniform and (
             p < 1.0 if neigh == "self" else regular):
         if neigh == "neighbour" and p == 0.0 and bip:
-            theorem = "polya_bipartite_two_param"
+            theorem, limit, sync = "polya_bipartite_two_param", "set", "partition"
         else:
-            theorem = "polya_regular_sync"
-    return ClassificationReport(theorem, tuple(checks))
+            theorem, limit, sync = "polya_regular_sync", "set", "global"
+    return ClassificationReport(theorem, tuple(checks), limit, sync)
 
 
 def noise_covariance(problem: Problem) -> np.ndarray:
@@ -395,7 +398,7 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     Sigma comes from sigma_lyapunov and SigmaTilde is None.
     """
     cls, n = problem.classification, problem.g.n
-    if cls.applicable_theorem not in UNIQUE_POINT_THEOREMS:
+    if cls.limit != "point":
         raise NotApplicableError(
             f"limit is not the unique point 1/2 (classified {cls.applicable_theorem})")
 

@@ -515,6 +515,13 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
      "bad 'sync' criterion: the cross-sum keys need scope 'partition'"),
     ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "global",'
      ' "cross_sum_fraction": 1}]}', "the cross-sum keys need scope 'partition'"),
+    # a fraction with no tolerance would be read and then ignored
+    ('{"steps": 10, "criteria": [{"kind": "sync", "scope": "partition",'
+     ' "cross_sum_fraction": 0.99}]}',
+     "bad 'sync' criterion: 'cross_sum_fraction' needs a 'cross_sum_tolerance'"),
+    # rate fits over its window, so an "at" would do nothing
+    ('{"steps": 10, "replicas": 2, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "at": 7}]}', "bad 'rate' criterion: unknown key(s) 'at'"),
     ('[{"kind": "convergence"}]', ": expected a JSON object"),
     # a zero reference has no relative error: rejected before the ensemble runs
     ('{"steps": 200, "replicas": 4, "criteria": [{"kind": "fluctuation", "sigma": %s}]}'
@@ -535,7 +542,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "non-numeric-cross-sum-tolerance", "null-cross-sum-fraction", "non-numeric-rate-target",
         "negative-cross-sum-tolerance", "cross-sum-fraction-above-1",
         "cross-sum-fraction-without-tolerance", "global-sync-cross-sum-tolerance",
-        "global-sync-cross-sum-fraction", "json-array", "all-zero-sigma"])
+        "global-sync-cross-sum-fraction", "lone-cross-sum-fraction", "rate-at", "json-array",
+        "all-zero-sigma"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test
@@ -597,6 +605,25 @@ def test_verify_too_few_replicas_outranks_off_schedule_at(c5_file, tmp_path, cap
     (entry,) = json.loads(capsys.readouterr().out)["criteria"]
     assert entry["pass"] is False
     assert entry["note"] == "TooFewReplicasError: need at least 2 replicas for a covariance"
+
+
+def test_verify_seed_overrides_plan_seed_but_not_a_criterion_seed(c4_file, tmp_path, capsys):
+    plan, cfgfile = tmp_path / "plan.json", tmp_path / "run.cfg"
+    cfgfile.write_text(f"graph = {c4_file}\nmodel = ftsr\np = 0.5\nseed = 5\n")
+
+    def empiricals(plan_seed, *flags):
+        plan.write_text(json.dumps({"steps": 300, "replicas": 3, "seed": plan_seed, "criteria": [
+            {"kind": "convergence"}, {"kind": "convergence", "seed": 3}]}))
+        main(["verify", *flags, "--plan", str(plan)])
+        return [e["empirical"] for e in json.loads(capsys.readouterr().out)["criteria"]]
+
+    model = ["--graph", c4_file, "--model", "ftsr", "--p", "0.5"]
+    five = empiricals(3, *model, "--seed", "5")
+    seven = empiricals(3, *model, "--seed", "7")
+    assert five == empiricals(5, *model) == empiricals(3, "--config", str(cfgfile))
+    assert seven == empiricals(7, *model)
+    assert five[0] != seven[0]
+    assert five[1] == seven[1] == empiricals(3, *model)[0]
 
 
 def test_config_file_per_urn_lists_match_flags(c4_file, tmp_path, capsys):

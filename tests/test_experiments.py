@@ -12,6 +12,7 @@ from urnnet.dynamics import simulate_ensemble
 from urnnet.errors import (
     ConfigError,
     NonPositiveStatisticError,
+    NotACheckpointError,
     TooFewReplicasError,
 )
 from urnnet.experiments import (
@@ -364,6 +365,30 @@ def test_partition_sync_without_bipartition_fails_before_its_ensemble(c5, monkey
         {"criterion": "sync-partition@t=100", "theoretical": None, "empirical": None,
          "tolerance": 0.05, "pass": False,
          "note": "NoBipartitionError: graph admits no bipartition"}]}
+
+
+def test_off_schedule_at_fails_before_its_ensemble(c5, monkeypatch):
+    # the checked budget holds the snapshot times, so only the budget that an
+    # on-schedule criterion reads runs; the note is the one index_of gives
+    steps = []
+
+    def counting(*args, **kwargs):
+        steps.append(args[1])
+        return simulate_ensemble(*args, **kwargs)
+    monkeypatch.setattr(experiments, "simulate_ensemble", counting)
+    P = problem(c5, "ftsnr", 0.5, seed=9)
+    kinds = ("convergence", "sync", "manifold", "fluctuation")
+    report = verify(P, {"steps": 400, "replicas": 4, "schedule": "all", "criteria": [
+        {"kind": "convergence", "steps": 50, "tolerance": 1},
+        *({"kind": kind, "at": 401} for kind in kinds)]})
+    assert steps == [50]
+    note = f"NotACheckpointError: t=401 is not a checkpoint (have {list(range(401))})"
+    assert [(e["criterion"], e["pass"], e["note"]) for e in report["criteria"][1:]] == [
+        (f"{label}@t=401", False, note) for label in ("convergence", "sync-global", "manifold",
+                                                      "fluctuation")]
+    with pytest.raises(NotACheckpointError) as exc:
+        simulate_ensemble(P, 400, schedule="all").index_of(401)
+    assert f"{type(exc.value).__name__}: {exc.value}" == note
 
 
 def test_variance_rate_with_one_replica_fails_before_its_ensemble(c4, monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from urnnet.dynamics import ModelConfig
 from urnnet.errors import AssumptionViolatedError, InconsistentDriftError, NotApplicableError
+from urnnet.experiments import default_plan
 from urnnet.graphs import parse_edge_list
 from urnnet.theory import (
     DriftModel,
@@ -21,15 +22,19 @@ from urnnet.theory import (
 )
 
 from conftest import (
+    C3_DIRECTED_EDGES,
     C4_EDGES,
     C5_EDGES,
     DEFECTIVE_EDGES,
+    FIG2_EDGES,
     K2_EDGES,
     MULTI_SOURCE_ARCS,
     MULTI_SOURCE_RELABELLED,
+    P3_EDGES,
     TWO_SOURCE_2CYCLES_ARCS,
     digraph,
     expected_chi,
+    grid_edges,
     problem,
     random_connected_graph,
     random_directed_graph,
@@ -330,6 +335,55 @@ def test_each_paper_label_predicts_its_limit_dimension(seed):
                         assert r.applicable_theorem in ("directed_general", "unknown"), case
                     if P.walk_drift:  # K is the bare graph walk, bit for bit
                         assert np.array_equal(-P.drift.K, np.eye(g.n) + P.ADi), case
+
+
+# what each label predicts, as the paper states it: the default plan's
+# criteria and the limit, None, the point 1/2 1 or the solution set of h = 0
+_CONVERGE = [{"kind": "convergence"}, {"kind": "manifold"}]
+_PARTITION = [{"kind": "manifold"}, {"kind": "sync", "scope": "partition"}]
+_LABEL_PREDICTS = {
+    "friedman_unique": (_CONVERGE, "point"),
+    "directed_friedman_unique": (_CONVERGE, "point"),
+    "friedman_bipartite_partial_sync": (_PARTITION, "set"),
+    "polya_bipartite_two_param": (_PARTITION, "set"),
+    "polya_regular_sync": ([{"kind": "manifold"}, {"kind": "sync", "scope": "global"}], "set"),
+    "directed_general": ([{"kind": "manifold"}], "set"),
+    "unknown": ([{"kind": "manifold"}], None),
+}
+
+
+def test_each_label_sets_its_default_plan_limit_and_fluctuation_gate():
+    # K2, C4, C5, P3, a triangle with a pendant, a star, K4, the 3x3 grid
+    undirected = (K2_EDGES, C4_EDGES, C5_EDGES, P3_EDGES, "0 1\n1 2\n2 0\n2 3",
+                  "0 1\n0 2\n0 3", "0 1\n0 2\n0 3\n1 2\n1 3\n2 3", grid_edges(3, 3))
+    graphs = ([parse_edge_list(e, directed=False) for e in undirected]
+              + [parse_edge_list(e, directed=True)
+                 for e in (FIG2_EDGES, C3_DIRECTED_EDGES, DEFECTIVE_EDGES)]
+              + [digraph(TWO_SOURCE_2CYCLES_ARCS), digraph(MULTI_SOURCE_ARCS)])
+    seen = set()
+    for g, code, p in itertools.product(graphs, ALL_CODES, (0.0, 0.3, 0.5, 1.0)):
+        P = problem(g, code, p)
+        label = P.classification.applicable_theorem
+        criteria, limit = _LABEL_PREDICTS[label]
+        case = (g.edges, g.directed, code, p, label)
+        seen.add(label)
+        assert default_plan(P) == {"steps": 100_000, "replicas": 64, "criteria": criteria}, case
+        ls = P.predicted_limit
+        if limit is None:
+            assert ls is None, case
+        elif limit == "point":
+            assert ls.kind == "unique_point" and ls.basis.shape == (0, g.n), case
+            assert np.array_equal(ls.particular, np.full(g.n, 0.5)), case
+        else:
+            want = limit_set(P.drift)
+            assert ls.kind == want.kind and np.array_equal(ls.basis, want.basis), case
+        try:
+            fluctuation(P)
+        except NotApplicableError as exc:
+            assert ("not the unique point" in str(exc)) == (limit != "point"), case
+        else:
+            assert limit == "point", case
+    assert seen == set(_LABEL_PREDICTS)
 
 
 # --- fluctuation covariances ----------------------------------------------
