@@ -328,7 +328,7 @@ def cmd_analyze(args) -> int:
         report["decay"] = {"unavailable": str(exc)}
     except AssumptionViolatedError:  # I + A D^-1 is defective or theta is undefined
         pass
-    del problem  # the report holds what it prints; free A, ADi and R before writing it
+    del problem, sd  # the report holds what it prints; free A, ADi, R and U before writing it
     _write_json(args.out, report)
     return EXIT_OK
 

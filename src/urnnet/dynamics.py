@@ -153,10 +153,6 @@ class EnsembleTrajectories:
         snapshots a slice k selects."""
         return self.W[k] / self.T[k][..., None, :]
 
-    def index_of(self, t: int) -> int:
-        """Position of checkpoint t in times; NotACheckpointError if absent."""
-        return checkpoint_index(self.times, t)
-
 
 def checkpoint_index(times, t: int) -> int:
     """Position of t in the snapshot schedule times; NotACheckpointError if absent."""

@@ -332,6 +332,11 @@ def _criterion(crit, plan: dict, problem: Problem) -> tuple:
             target = crit.get("target")
             if target is not None:
                 target = read_number(target, "'target'", integer=False)
+            # a rate that can fit nothing, checked once every other key is read
+            if window[0] > window[1]:
+                raise ConfigError(f"'window' {list(window)} runs backwards: nothing to fit")
+            if not contrast.any():
+                raise ConfigError("'contrast' is all zero, so every statistic is 0")
             label = f"rate[{statistic}]"
 
             def evaluate(ensemble):

@@ -1,8 +1,8 @@
 """Dense spectral analysis of I + A D^-1 and related model matrices.
 
 Undirected graphs go through the symmetric similarity
-D^-1/2 (D + A) D^-1/2, so eigenvalues are exactly real. Directed graphs use
-the general eigensolver, whose eigenvectors serve only the
+D^-1/2 (D + A) D^-1/2: real eigenvalues, orthonormal eigenvectors. Directed
+graphs use the general eigensolver, whose eigenvectors serve only the
 diagonalizability check, and may produce complex spectra.
 """
 from __future__ import annotations
@@ -28,12 +28,14 @@ class SpectralData:
     """Spectrum of I + A D^-1 with any zero eigenvalue sorted first.
 
     theta is the smallest nonzero eigenvalue, defined only for (numerically)
-    real spectra that contain a zero eigenvalue.
+    real spectra that contain a zero eigenvalue. vectors: the eigenvectors U of
+    I + D^-1/2 A D^-1/2, a column per eigenvalue, if Problem.walk_polynomial; else None.
     """
 
     eigenvalues: np.ndarray
     diagonalizable: bool
     theta: Optional[float] = None
+    vectors: Optional[np.ndarray] = None
 
 
 def eigendecompose(problem: Problem) -> SpectralData:
@@ -51,7 +53,7 @@ def eigendecompose(problem: Problem) -> SpectralData:
             # D^-1/2 (I + A D^-1) D^1/2 = I + D^-1/2 A D^-1/2 is symmetric
             droot = np.sqrt(Ddiag)
             sym = np.eye(n) + A / np.outer(droot, droot)
-            eig = np.linalg.eigh(sym)[0].astype(float)
+            eig, P = np.linalg.eigh(sym)
             diagonalizable = True
         else:
             eig, P = np.linalg.eig(np.eye(n) + problem.ADi)
@@ -60,7 +62,8 @@ def eigendecompose(problem: Problem) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
-    eig = eig[np.lexsort((np.imag(eig), np.real(eig), np.abs(eig) >= ZERO_EIG_TOL))]
+    order = np.lexsort((np.imag(eig), np.real(eig), np.abs(eig) >= ZERO_EIG_TOL))
+    eig = eig[order]
     if np.all(np.abs(np.imag(eig)) < 1e-10):
         eig = np.real(eig)
 
@@ -69,7 +72,8 @@ def eigendecompose(problem: Problem) -> SpectralData:
         nonzero = eig[np.abs(eig) >= ZERO_EIG_TOL]
         if nonzero.size:
             theta = float(nonzero.min())
-    return SpectralData(eigenvalues=eig, diagonalizable=diagonalizable, theta=theta)
+    return SpectralData(eigenvalues=eig, diagonalizable=diagonalizable, theta=theta,
+                        vectors=P[:, order] if problem.walk_polynomial else None)
 
 
 def nullspace(M: np.ndarray) -> np.ndarray:

@@ -20,16 +20,15 @@ The stationary covariance of sqrt(t) (Z_t - 1/2 1) solves the Lyapunov
 equation (K + I/2)^T Sigma + Sigma (K + I/2) = -Gamma_eff, where Gamma_eff
 is the covariance of the martingale noise as it enters the recursion,
 (1/4s) R^T R with the reinforcement matrix R = (eta I + kappa A) Omega^-1.
-On a regular graph K and Gamma_eff are polynomials in the symmetric A D^-1
-and commute, so with M = -(2K + I) one closed form covers every model:
-Sigma = Gamma_eff M^-1, and in the critical regime (rho = 1/2) the
-sqrt(t/log t)-scaled covariance SigmaTilde is Gamma_eff projected onto
-ker M, the critical directions. The paper's two formulas,
-(1/4s) [(2p+1) I + 2(1-p) A D^-1]^-1 and
-(1/4s) (A D^-1)^2 [I + 2p A D^-1 + 2(1-p)(A D^-1)^2]^-1, are its self and
-neighbour cases. On every non-regular or directed graph Sigma comes from
-sigma_lyapunov's Newton sign iteration (Roberts 1980; Higham, Functions of
-Matrices, ch. 5), which needs no eigenvectors.
+Where T is a polynomial in A D^-1 = D^1/2 S D^-1/2, S symmetric
+(Problem.walk_polynomial), the eigenvectors U of S diagonalise K: K V =
+V diag(kappa) with V = D^1/2 U, V^-1 = U^T D^-1/2. With H = V^T Gamma_eff V,
+Sigma = V^-T X V^-1 where X_ij = -H_ij / (kappa_i + kappa_j + 1), and in the
+critical regime (rho = 1/2) the sqrt(t/log t)-scaled SigmaTilde keeps H_ij on
+the pairs kappa_i + kappa_j = -1. The paper's two regular-graph covariances
+are its self and neighbour cases. Where T need not be symmetrisable Sigma
+comes from sigma_lyapunov's Newton sign iteration (Roberts 1980; Higham,
+Functions of Matrices, ch. 5), which needs no eigenvectors.
 """
 from __future__ import annotations
 
@@ -132,8 +131,8 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class FluctuationReport:
-    """Regime and covariances of fluctuation(); closed_form means a regular
-    graph: Sigma/SigmaTilde from the commuting closed form."""
+    """Regime and covariances of fluctuation(); closed_form means
+    Problem.walk_polynomial: Sigma/SigmaTilde from the eigenbasis of K."""
 
     rho: float
     regime: str  # sqrt_t | sqrt_t_over_log_t | not_applicable
@@ -230,6 +229,13 @@ class Problem:
         """Whether K is the bare graph walk -(I + A D^-1), bit for bit: Friedman
         ftsr at p = 0 (P~ = A D^-1) and ftnr at p = 1 (T = I R = A D^-1)."""
         return (self.cfg.code, self.cfg.p) in (("ftsr", 0.0), ("ftnr", 1.0))
+
+    @cached_property
+    def walk_polynomial(self) -> bool:
+        """Whether T is a polynomial in A D^-1 on an undirected graph: self or
+        neighbour reinforcement, or both on a regular graph."""
+        return not self.g.directed and (self.cfg.neighbourhood != "self_and_neighbour"
+                                        or self.g.regular_degree is not None)
 
     @cached_property
     def spectral(self) -> SpectralData:
@@ -387,6 +393,20 @@ def sigma_lyapunov(problem: Problem) -> np.ndarray:
     raise LyapunovFailure(f"sign iteration did not converge in {_SIGN_MAX_ITER} steps")
 
 
+def _eigenbasis_covariance(problem: Problem, critical: bool) -> np.ndarray:
+    """Sigma, or SigmaTilde if critical, by the module's closed form in the
+    eigenbasis of K; entries within n eps of the largest are round-off, set to 0."""
+    U, r = problem.spectral.vectors, np.sqrt(problem.deg)[:, None]
+    V, Vi = U * r, U / r  # K V = V diag(kappa), V^-1 = Vi^T
+    kappa = np.einsum("ij,ij->j", Vi, problem.drift.K @ V)
+    H = V.T @ noise_covariance(problem) @ V
+    pair = kappa[:, None] + kappa + 1  # within 2 _CRITICAL_TOL of 0 on the critical pairs
+    X = np.where(np.abs(pair) <= 2 * _CRITICAL_TOL, H, 0.0) if critical else -H / pair
+    S = Vi @ X @ Vi.T
+    S = 0.5 * (S + S.T)
+    return np.where(np.abs(S) <= len(S) * np.finfo(float).eps * np.abs(S).max(), 0.0, S)
+
+
 def fluctuation(problem: Problem) -> FluctuationReport:
     """Scaling regime and limit covariance around the 1/2 limit.
 
@@ -394,8 +414,8 @@ def fluctuation(problem: Problem) -> FluctuationReport:
     1/2 1. rho is the smallest eigenvalue of -K; rho > 1/2 gives the
     sqrt(t) regime with covariance Sigma, rho = 1/2 (within 1e-9) the
     sqrt(t/log t) regime with SigmaTilde, and rho < 1/2 no stated scaling.
-    Both come from the module's closed form on a regular graph; elsewhere
-    Sigma comes from sigma_lyapunov and SigmaTilde is None.
+    Both come from the module's closed form where Problem.walk_polynomial
+    holds; elsewhere Sigma comes from sigma_lyapunov and SigmaTilde is None.
     """
     cls, n = problem.classification, problem.g.n
     if cls.limit != "point":
@@ -404,31 +424,18 @@ def fluctuation(problem: Problem) -> FluctuationReport:
 
     rho = float(-np.max(problem.drift.eigenvalues.real))
     Gamma = np.eye(n) / (4.0 * problem.cfg.s)
-    # K and Gamma_eff are symmetric polynomials in A D^-1, and so commute,
-    # exactly when the (connected, undirected) graph is regular
-    closed = problem.g.regular_degree is not None
-    if closed:
-        M = -(2 * problem.drift.K + np.eye(n))
-
+    closed = problem.walk_polynomial
     if rho > 0.5 + _CRITICAL_TOL:
-        if closed:
-            Sigma = noise_covariance(problem) @ np.linalg.inv(M)
-            Sigma = 0.5 * (Sigma + Sigma.T)
-        else:
-            Sigma = sigma_lyapunov(problem)
+        Sigma = _eigenbasis_covariance(problem, False) if closed else sigma_lyapunov(problem)
         return FluctuationReport(
             rho=rho, regime="sqrt_t", Gamma=Gamma, Sigma=Sigma, SigmaTilde=None,
             closed_form=closed, near_critical=bool(rho < 0.5 + _NEAR_CRITICAL_BAND))
 
     if abs(rho - 0.5) <= _CRITICAL_TOL:
-        tilde = None
-        if closed:
-            mu, U = np.linalg.eigh(M)
-            P = U[:, np.abs(mu) < 1e-9]  # ker M: the critical directions
-            tilde = P @ (P.T @ noise_covariance(problem) @ P) @ P.T
         return FluctuationReport(
             rho=rho, regime="sqrt_t_over_log_t", Gamma=Gamma, Sigma=None,
-            SigmaTilde=tilde, closed_form=closed)
+            SigmaTilde=_eigenbasis_covariance(problem, True) if closed else None,
+            closed_form=closed)
 
     return FluctuationReport(rho=rho, regime="not_applicable", Gamma=Gamma,
                              Sigma=None, SigmaTilde=None, closed_form=False)

@@ -137,6 +137,19 @@ def test_simulate_rejects_oversampling(c4_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_prints_critical_sigma_tilde_off_regular_graphs(tmp_path, capsys):
+    # P3 ftsr p = 1/4 is critical (rho = 1/2); T is a polynomial in A D^-1,
+    # so the closed form gives SigmaTilde on this non-regular graph too
+    path = tmp_path / "p3.edges"
+    path.write_text("0 1\n1 2\n")
+    rc, rep = run_json(["analyze", "--graph", str(path), "--model", "ftsr",
+                        "--p", "0.25", "--s", "1"], capsys)
+    assert rc == 0
+    fl = rep["fluctuation"]
+    assert fl["regime"] == "sqrt_t_over_log_t" and fl["closed_form"] is True
+    assert np.allclose(fl["SigmaTilde"], np.outer([1, -1, 1], [1, -1, 1]) * 3 / 32, atol=1e-12)
+
+
 def test_analyze_corrupt_graph_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("zero one\n")
@@ -526,6 +539,15 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
     # a zero reference has no relative error: rejected before the ensemble runs
     ('{"steps": 200, "replicas": 4, "criteria": [{"kind": "fluctuation", "sigma": %s}]}'
      % json.dumps([[0] * 5] * 5), "'sigma' is all zero"),
+    # a rate that can fit nothing is rejected before its ensemble runs, and
+    # after its other keys: the default window (100, steps) runs backwards below 100 steps
+    ('{"steps": 400, "replicas": 4, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "window": [300, 100], "target": -1}]}',
+     "bad 'rate' criterion: 'window' [300, 100] runs backwards: nothing to fit"),
+    ('{"steps": 50, "replicas": 4, "criteria": [{"kind": "rate", "contrast": [1, -1, 0, 0, 0],'
+     ' "target": -1}]}', "'window' [100, 50] runs backwards"),
+    ('{"steps": 400, "replicas": 4, "criteria": [{"kind": "rate", "contrast": [0, 0, 0, 0, 0],'
+     ' "target": -1}]}', "bad 'rate' criterion: 'contrast' is all zero, so every statistic is 0"),
 ], ids=["malformed-json", "negative-steps", "non-integer-steps", "unknown-kind",
         "unknown-statistic", "non-numeric-tolerance", "missing-kind", "string-criterion",
         "non-integer-at", "rate-missing-contrast", "rate-short-contrast", "rate-short-window",
@@ -543,7 +565,8 @@ def test_config_file_bad_json_exit_2(c4_file, tmp_path, text, needle, capsys):
         "negative-cross-sum-tolerance", "cross-sum-fraction-above-1",
         "cross-sum-fraction-without-tolerance", "global-sync-cross-sum-tolerance",
         "global-sync-cross-sum-fraction", "lone-cross-sum-fraction", "rate-at", "json-array",
-        "all-zero-sigma"])
+        "all-zero-sigma", "backwards-window", "default-window-beyond-steps",
+        "all-zero-contrast"])
 def test_verify_bad_plan_exit_2(c5_file, tmp_path, text, needle, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(text, "utf-8", "surrogateescape")  # see the config file test

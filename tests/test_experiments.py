@@ -8,7 +8,7 @@ import pytest
 
 from urnnet import experiments
 from urnnet.cli import main
-from urnnet.dynamics import simulate_ensemble
+from urnnet.dynamics import checkpoint_index, simulate_ensemble
 from urnnet.errors import (
     ConfigError,
     NonPositiveStatisticError,
@@ -70,7 +70,7 @@ def test_sync_metrics_identities(p3):
     # P3 is bipartite with partitions {0,2} and {1} and degrees (1,2,1)
     P = problem(p3, "ftsr", 0.3, seed=11)
     es = simulate_ensemble(P, 200, schedule=[0, 200], replicas=12)
-    sm = sync_metrics(P, es.Z[es.index_of(200)])
+    sm = sync_metrics(P, es.Z[checkpoint_index(es.times, 200)])
     deg = P.deg
     dv = deg[[0, 2]].sum()
     dw = deg[[1]].sum()
@@ -369,7 +369,7 @@ def test_partition_sync_without_bipartition_fails_before_its_ensemble(c5, monkey
 
 def test_off_schedule_at_fails_before_its_ensemble(c5, monkeypatch):
     # the checked budget holds the snapshot times, so only the budget that an
-    # on-schedule criterion reads runs; the note is the one index_of gives
+    # on-schedule criterion reads runs; the note is the one checkpoint_index gives
     steps = []
 
     def counting(*args, **kwargs):
@@ -387,7 +387,7 @@ def test_off_schedule_at_fails_before_its_ensemble(c5, monkeypatch):
         (f"{label}@t=401", False, note) for label in ("convergence", "sync-global", "manifold",
                                                       "fluctuation")]
     with pytest.raises(NotACheckpointError) as exc:
-        simulate_ensemble(P, 400, schedule="all").index_of(401)
+        checkpoint_index(simulate_ensemble(P, 400, schedule="all").times, 401)
     assert f"{type(exc.value).__name__}: {exc.value}" == note
 
 

@@ -119,6 +119,21 @@ def test_spectrum_properties_random_graphs(seed):
     assert_same_spectrum(lam, M)
 
 
+def test_eigenvectors_are_kept_only_where_they_diagonalise_the_drift(grid33, fig2):
+    # kept for self or neighbour reinforcement on an undirected graph, as the
+    # orthonormal eigenvectors of I + D^-1/2 A D^-1/2 in the printed order
+    for code in ("ftsr", "ftnr", "ptsr"):
+        P = problem(grid33, code)
+        U, r = P.spectral.vectors, np.sqrt(P.deg)
+        assert np.allclose(U.T @ U, np.eye(9), atol=1e-12)
+        sym = np.eye(9) + P.A / np.outer(r, r)
+        assert np.allclose(sym @ U, U * P.spectral.eigenvalues, atol=1e-12)
+    # no symmetrisable T: self-and-neighbour off a regular graph, or directed
+    assert problem(grid33, "ftsnr").spectral.vectors is None
+    for code in ("ftsr", "ftnr", "ftsnr"):
+        assert problem(fig2, code).spectral.vectors is None
+
+
 def test_rank_default_tolerance():
     M = np.diag([1.0, 1e-6, 0.0])
     assert 3 - nullspace(M).shape[0] == 2

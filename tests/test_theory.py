@@ -530,6 +530,10 @@ def test_lyapunov_residual_random_graphs(g, code, p):
     G = noise_covariance(P)
     assert np.linalg.norm(S.T @ Sigma + Sigma @ S + G) <= 1e-12 * np.linalg.norm(G)
     assert np.max(np.abs(Sigma - Sigma.T)) <= 1e-12
+    if rep.closed_form:  # the eigenbasis route solves the same equation
+        Sigma = rep.Sigma
+        assert np.linalg.norm(S.T @ Sigma + Sigma @ S + G) <= 1e-11 * np.linalg.norm(G)
+        assert np.array_equal(Sigma, Sigma.T)
 
 
 def test_sigma_psd_symmetric(c4, c5, grid33):
@@ -569,17 +573,51 @@ def test_critical_sigma_tilde_ftnr_carries_nu_squared(c5):
     assert abs(slope / want - 1) < 0.01, slope
 
 
-def test_critical_sigma_tilde_ftsnr_matches_exact_moments():
-    # K3,3 ftsnr at p = 1: T = (I + A)/4 has eigenvalue -1/2 on the alternating
-    # vector, so rho = 1/2; the exact log-slope of t Cov gives SigmaTilde
-    P = problem(parse_edge_list(K33_EDGES, directed=False), "ftsnr", 1.0, s=1)
+@pytest.mark.parametrize("edges, code, p, entry, sign", [
+    # K3,3 ftsnr at p = 1: T = (I + A)/4 has eigenvalue -1/2 on the
+    # alternating vector, so rho = 1/2
+    (K33_EDGES, "ftsnr", 1.0, None, None),
+    # ftsr p = 1/4 on a bipartite non-regular graph: rho = 2p = 1/2, and
+    # SigmaTilde is entry * sign sign^T on the bipartition's sign vector
+    (P3_EDGES, "ftsr", 0.25, 3 / 32, [1, -1, 1]),
+    ("0 1\n0 2\n0 3", "ftsr", 0.25, 1 / 12, [1, -1, -1, -1]),
+], ids=["K33-ftsnr", "P3-ftsr", "star-ftsr"])
+def test_critical_sigma_tilde_matches_exact_moments(edges, code, p, entry, sign):
+    # the exact log-slope of t Cov gives SigmaTilde
+    P = problem(parse_edge_list(edges, directed=False), code, p, s=1)
     rep = fluctuation(P)
     assert rep.regime == "sqrt_t_over_log_t" and rep.closed_form
+    if entry is not None:
+        assert np.allclose(rep.SigmaTilde, entry * np.outer(sign, sign), rtol=0, atol=1e-12)
     t1, t2 = 2_000, 8_000
     slope = (t2 * moment_recursion_cov(P, t2)[1]
              - t1 * moment_recursion_cov(P, t1)[1]) / np.log(t2 / t1)
     err = np.linalg.norm(slope - rep.SigmaTilde) / np.linalg.norm(rep.SigmaTilde)
     assert err < 0.01, err
+
+
+def test_near_critical_sigma_tilde_keeps_its_directions(c4, p3):
+    # the regime is critical for |rho - 1/2| <= 1e-9, so SigmaTilde must keep
+    # the critical pairs as far out: ftsr p = 1/4 + dp has rho = 1/2 + 2 dp
+    for g, v, entry in ((c4, [1, -1, 1, -1], 1 / 16), (p3, [1, -1, 1], 3 / 32)):
+        for dp in (-4e-10, 4e-10):
+            rep = fluctuation(problem(g, "ftsr", 0.25 + dp, s=1))
+            assert rep.regime == "sqrt_t_over_log_t"
+            assert np.allclose(rep.SigmaTilde, entry * np.outer(v, v), rtol=0, atol=1e-8)
+
+
+def test_eigenbasis_prints_exact_zeros_and_diagonals(p3):
+    # K4 ftnr p = 1 s = 3: Sigma = I/36, its off-diagonal round-off set to 0;
+    # P3 ftsr p = 1: independent urns, Sigma = I/(12 s)
+    rep = fluctuation(problem(parse_edge_list(_complete(4), directed=False), "ftnr", 1.0, s=3))
+    assert rep.closed_form
+    assert np.all(rep.Sigma[~np.eye(4, dtype=bool)] == 0.0)
+    assert np.allclose(np.diag(rep.Sigma), 1 / 36, rtol=1e-12, atol=0)
+    for s in (1, 2, 3):
+        rep = fluctuation(problem(p3, "ftsr", 1.0, s=s))
+        assert rep.closed_form
+        assert np.array_equal(rep.Sigma == 0.0, np.eye(3) == 0.0)
+        assert np.allclose(rep.Sigma, np.eye(3) / (12 * s), rtol=1e-15, atol=0)
 
 
 def test_fluctuation_subcritical_reports_not_applicable(c4):
